@@ -9,7 +9,10 @@ zero.  States live in the full 2^N amplitude vector; basis index ``s``
 encodes site ``i`` in bit ``i``, bit value 0 meaning spin +1.  The
 evolution is a symmetric (Strang) splitting between the diagonal Ising
 part and the product of single-site transverse rotations, so every step
-is exactly unitary and the whole run is matrix-free, O(N 2^N) per step.
+is exactly unitary.  The rotations are grouped into blocks of b <= 5
+sites, each applied as one dense 2^b x 2^b unitary on a reshaped view
+of the state, so a step costs about 2^N * sum_b 2^b complex
+multiply-adds and no 2^N x 2^N matrix is ever formed.
 Time is measured in hbar/eV by default ("natural"); with
 ``time_unit="seconds"`` the accumulated phases pick up the hbar/eV
 scale factor.
@@ -229,13 +232,19 @@ def state_string(n: int, index: int) -> str:
 
 def diagonal_energies(model: IsingModel) -> np.ndarray:
     """Ising energy of every basis state, shape (2^n,), eV."""
-    n = model.n_sites
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.int64)
-    spins = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)) & 1)
-    energies = spins @ model.h
+    # Sites are added one at a time: with site k in bit k, the energies
+    # over sites 0..k are those over sites 0..k-1 shifted by +f and -f,
+    # where f = h_k + sum_{i<k} J_ik s_i is site k's local field.
+    earlier = [[] for _ in range(model.n_sites)]
     for (i, j, w) in model.couplings:
-        energies += w * spins[:, i] * spins[:, j]
+        earlier[j].append((i, w))
+    energies = np.zeros(1)
+    for k in range(model.n_sites):
+        field = np.full(1 << k, model.h[k])
+        for (i, w) in earlier[k]:
+            by_bit_i = field.reshape(-1, 2, 1 << i)    # a view; axis 1 is bit i
+            by_bit_i += np.array([[w], [-w]])          # spin +1 where bit i is clear
+        energies = np.concatenate((energies + field, energies - field))
     return energies
 
 
@@ -253,13 +262,18 @@ def initial_state(n: int) -> np.ndarray:
 
 def apply_hamiltonian(model: IsingModel, delta: float, psi: np.ndarray) -> np.ndarray:
     """Matrix-free H psi for the Hamiltonian at transverse field ``delta``."""
-    n = model.n_sites
-    dim = 1 << n
+    dim = 1 << model.n_sites
     psi = np.asarray(psi)
     if psi.shape != (dim,):
         raise ValueError(f"state must have shape ({dim},), got {psi.shape}")
-    out = diagonal_energies(model) * psi
+    return _apply_h(diagonal_energies(model), delta, psi)
+
+
+def _apply_h(diag: np.ndarray, delta: float, psi: np.ndarray) -> np.ndarray:
+    """H psi given the Ising diagonal ``diag`` of H."""
+    out = diag * psi
     if delta != 0.0:
+        n = diag.shape[0].bit_length() - 1
         arr = psi.reshape((2,) * n)
         acc = out.reshape((2,) * n)
         for axis in range(n):
@@ -267,18 +281,54 @@ def apply_hamiltonian(model: IsingModel, delta: float, psi: np.ndarray) -> np.nd
     return out
 
 
-def _flip_indices(n: int) -> list[np.ndarray]:
-    idx = np.arange(1 << n)
-    return [idx ^ (1 << site) for site in range(n)]
+# Sites per transverse-rotation block.  A block of b sites costs 2^n * 2^b
+# multiply-adds in one matmul call, so larger blocks trade arithmetic for
+# fewer calls; 5 keeps n <= 10 at two calls per step, and at n = 16 and 18
+# on a two-core Xeon, blocks of 4 or 5 sites ran at least 1.4x faster
+# than blocks of 3 or 7.
+_BLOCK_SITES = 5
 
 
-def _rotate_transverse(psi: np.ndarray, flips: list[np.ndarray], theta: float) -> np.ndarray:
-    """exp(-i theta sx) applied on every site (sites commute)."""
+def _sx_blocks(n: int):
+    """Split sites 0..n-1 into ceil(n / _BLOCK_SITES) near-equal contiguous
+    blocks, site 0's block first.
+
+    Returns the blocks as (b, (left, 2^b, right)), the shape that puts the
+    block's b bits on the middle axis of the state, and the Hamming-distance
+    table popcount(r ^ c) over 2^b x 2^b for each block size b.
+    """
+    count = -(-n // _BLOCK_SITES)
+    blocks, lo = [], 0
+    for k in range(count):
+        b = n // count + (k < n % count)
+        blocks.append((b, (1 << (n - lo - b), 1 << b, 1 << lo)))
+        lo += b
+    hamming = {}
+    for b, _ in blocks:
+        rc = np.arange(1 << b)[:, None] ^ np.arange(1 << b)
+        hamming[b] = sum((rc >> i) & 1 for i in range(b))
+    return blocks, hamming
+
+
+def _rotate_sx(psi: np.ndarray, sx_blocks, theta: float) -> np.ndarray:
+    """exp(-i theta sum_i sx_i) applied as one matmul per site block.
+
+    The single-site rotations commute, so on a block of b sites they
+    multiply to the 2^b x 2^b Kronecker product with entry (r, c) =
+    cos^(b-k) (-i sin)^k, k = popcount(r ^ c): symmetric, and the same
+    for any order of the bits within the block.
+    """
+    blocks, hamming = sx_blocks
     c = math.cos(theta)
     s = -1j * math.sin(theta)
-    for flip in flips:
-        psi = c * psi + s * psi[flip]
-    return psi
+    unitary = {b: np.array([c ** (b - k) * s ** k for k in range(b + 1)])[table]
+               for b, table in hamming.items()}
+    for b, (left, width, right) in blocks:
+        if right == 1:
+            psi = psi.reshape(left, width) @ unitary[b]
+        else:
+            psi = unitary[b] @ psi.reshape(left, width, right)
+    return psi.reshape(-1)
 
 
 def evolve(model: IsingModel, schedule: Schedule, psi0: np.ndarray | None = None,
@@ -313,19 +363,19 @@ def evolve(model: IsingModel, schedule: Schedule, psi0: np.ndarray | None = None
     def record(step: int) -> None:
         t = step * dt
         d = schedule.delta_at(t)
-        e = float(np.vdot(psi, apply_hamiltonian(model, d, psi)).real)
+        e = float(np.vdot(psi, _apply_h(diag, d, psi)).real)
         times.append(t)
         deltas.append(d)
         energies.append(e)
 
-    flips = _flip_indices(n)
+    sx_blocks = _sx_blocks(n)
     if record_every > 0:
         record(0)
         for k in range(schedule.steps):
             psi *= half_phase
             theta = schedule.delta_at((k + 0.5) * dt) * dt * scale
             if theta != 0.0:
-                psi = _rotate_transverse(psi, flips, theta)
+                psi = _rotate_sx(psi, sx_blocks, theta)
             psi *= half_phase
             if (k + 1) % record_every == 0 or k + 1 == schedule.steps:
                 record(k + 1)
@@ -338,7 +388,7 @@ def evolve(model: IsingModel, schedule: Schedule, psi0: np.ndarray | None = None
         for k in range(schedule.steps):
             theta = schedule.delta_at((k + 0.5) * dt) * dt * scale
             if theta != 0.0:
-                psi = _rotate_transverse(psi, flips, theta)
+                psi = _rotate_sx(psi, sx_blocks, theta)
             psi *= half_phase if k == last else full_phase
     return EvolutionResult(psi=psi, times=np.array(times), deltas=np.array(deltas),
                            energies=np.array(energies))
@@ -358,7 +408,7 @@ def measure(psi: np.ndarray, shots: int, seed: int) -> dict[str, int]:
     p = np.abs(psi) ** 2
     p /= p.sum()
     counts = np.random.default_rng(seed).multinomial(shots, p)
-    return {state_string(n, idx): int(c) for idx, c in enumerate(counts) if c > 0}
+    return {state_string(n, int(idx)): int(counts[idx]) for idx in np.flatnonzero(counts)}
 
 
 def brute_force_ground_state(model: IsingModel) -> GroundState:

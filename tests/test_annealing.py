@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from fgqa.annealing import (
     IsingModel,
@@ -18,6 +21,7 @@ from fgqa.annealing import (
     state_string,
     success_probability,
 )
+from fgqa.annealing import _rotate_sx, _sx_blocks
 from fgqa.cells import BiasSet, MaterialStack, cell_from_coupling_ratio
 from fgqa.charging import ising_parameters, reduce_network
 from fgqa.cells import build_network
@@ -64,6 +68,53 @@ def dense_hamiltonian(model, delta):
     h_mat = sum(w * op(sz, i) @ op(sz, j) for (i, j, w) in model.couplings)
     h_mat = h_mat + sum(model.h[i] * op(sz, i) for i in range(n))
     return h_mat + delta * sum(op(sx, i) for i in range(n))
+
+
+def random_state(rng, n):
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return psi / np.linalg.norm(psi)
+
+
+def flip_rotation(psi, theta):
+    """Per-site reference for exp(-i theta sum sx): one bit-flip gather per site."""
+    n = psi.shape[0].bit_length() - 1
+    idx = np.arange(psi.shape[0])
+    for site in range(n):
+        psi = math.cos(theta) * psi - 1j * math.sin(theta) * psi[idx ^ (1 << site)]
+    return psi
+
+
+class TestTransverseRotation:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_dense_exponential(self, rng, n):
+        theta = 0.37
+        sx_sum = dense_hamiltonian(IsingModel(n, np.zeros(n), ()), 1.0)
+        psi = random_state(rng, n)
+        np.testing.assert_allclose(_rotate_sx(psi, _sx_blocks(n), theta),
+                                   expm(-1j * theta * sx_sum) @ psi, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", (5, 6, 10, 11, 15, 16))
+    def test_matches_per_site_flips_at_block_boundaries(self, rng, n):
+        psi = random_state(rng, n)
+        for theta in (0.05, 1.3):
+            np.testing.assert_allclose(_rotate_sx(psi, _sx_blocks(n), theta),
+                                       flip_rotation(psi, theta), rtol=0, atol=1e-14)
+
+
+class TestDiagonalEnergies:
+    def test_matches_per_state_sum(self, rng):
+        for n in range(1, 11):
+            couplings = tuple((i, j, float(rng.normal())) for i in range(n)
+                              for j in range(i + 1, n) if rng.random() < 0.4)
+            model = IsingModel(n, rng.normal(size=n), couplings)
+            expected = []
+            for index in range(2**n):
+                s = [1.0 - 2.0 * ((index >> i) & 1) for i in range(n)]
+                expected.append(math.fsum([model.h[i] * s[i] for i in range(n)]
+                                          + [w * s[i] * s[j] for (i, j, w) in couplings]))
+            scale = np.abs(model.h).sum() + sum(abs(w) for (_, _, w) in couplings)
+            np.testing.assert_allclose(diagonal_energies(model), expected,
+                                       rtol=0, atol=1e-12 * scale)
 
 
 class TestApplyHamiltonian:
@@ -168,6 +219,14 @@ class TestEvolve:
         # energy must end near the reached diagonal value
         assert np.isfinite(res.energies).all()
 
+    def test_final_trace_energy_is_final_expectation(self):
+        model = random_chain(4)
+        sched = Schedule(delta0=2.0, t_total=10.0, steps=100, profile="exponential")
+        res = evolve(model, sched, record_every=7)
+        assert res.deltas[-1] > 0.0
+        expected = np.vdot(res.psi, apply_hamiltonian(model, res.deltas[-1], res.psi)).real
+        assert abs(res.energies[-1] - expected) <= 1e-12 * max(1.0, abs(expected))
+
 
 class TestMeasure:
     def test_delta_state(self):
@@ -189,6 +248,16 @@ class TestMeasure:
     def test_seed_reproducibility(self):
         psi = initial_state(5)
         assert measure(psi, 4096, seed=9) == measure(psi, 4096, seed=9)
+
+    def test_matches_loop_over_all_outcomes(self, rng):
+        n, shots, seed = 6, 500, 3
+        psi = random_state(rng, n)
+        p = np.abs(psi) ** 2
+        counts = np.random.default_rng(seed).multinomial(shots, p / p.sum())
+        expected = {state_string(n, idx): int(c) for idx, c in enumerate(counts) if c > 0}
+        hist = measure(psi, shots, seed)
+        assert hist == expected
+        assert list(hist) == list(expected)
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
