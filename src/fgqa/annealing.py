@@ -9,10 +9,20 @@ zero.  States live in the full 2^N amplitude vector; basis index ``s``
 encodes site ``i`` in bit ``i``, bit value 0 meaning spin +1.  The
 evolution is a symmetric (Strang) splitting between the diagonal Ising
 part and the product of single-site transverse rotations, so every step
-is exactly unitary.  The rotations are grouped into blocks of b <= 5
-sites, each applied as one dense 2^b x 2^b unitary on a reshaped view
-of the state, so a step costs about 2^N * sum_b 2^b complex
-multiply-adds and no 2^N x 2^N matrix is ever formed.
+is exactly unitary.  The diagonal half-phases of consecutive steps are
+merged into one phase P, and the rotation angles of all steps come from
+one array call of the schedule.  Two kernels carry the steps, chosen by N alone:
+
+* N <= 7 (``_WALSH_MAX_SITES``): the state is carried in the Walsh-
+  Hadamard basis, where sum_i sx_i is diagonal, so a step is one
+  elementwise phase and one dense 2^N x 2^N matmul by the run's fixed
+  mixer H diag(P) H: about 4^N complex multiply-adds in two numpy calls
+  (1.5 us per step up to N = 5, 7 us at N = 7, one BLAS thread on a
+  two-core Xeon).
+* N >= 8: the rotations are grouped into blocks of b <= 5 sites, each
+  applied as one dense 2^b x 2^b unitary on a reshaped view of the
+  state, so a step costs about 2^N * sum_b 2^b complex multiply-adds
+  and no 2^N x 2^N matrix is ever formed (10 us at N = 8, 21 us at 10).
 Time is measured in hbar/eV by default ("natural"); with
 ``time_unit="seconds"`` the accumulated phases pick up the hbar/eV
 scale factor.
@@ -125,11 +135,14 @@ class Schedule:
         if self.time_unit not in ("natural", "seconds"):
             raise ValueError(f"unknown time unit {self.time_unit!r}")
 
-    def delta_at(self, t: float) -> float:
-        x = min(max(t / self.t_total, 0.0), 1.0)
+    def delta_at(self, t):
+        """Delta at time ``t``: a float for a scalar, an array for an array."""
+        x = np.clip(np.asarray(t, dtype=float) / self.t_total, 0.0, 1.0)
         if self.profile == "linear":
-            return self.delta0 * (1.0 - x)
-        return self.delta0 * self.floor_ratio**x
+            d = self.delta0 * (1.0 - x)
+        else:
+            d = self.delta0 * self.floor_ratio**x
+        return float(d) if d.ndim == 0 else d
 
     @property
     def phase_scale(self) -> float:
@@ -251,34 +264,101 @@ def diagonal_energies(model: IsingModel) -> np.ndarray:
 def initial_state(n: int) -> np.ndarray:
     """Exact ground state of the transverse term: uniform magnitude with
     alternating signs, (-1)^popcount(s) / sqrt(2^n)."""
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.int64)
-    parity = np.zeros(dim, dtype=np.int64)
-    for i in range(n):
-        parity ^= (idx >> i) & 1
-    psi = np.where(parity == 0, 1.0, -1.0).astype(np.complex128)
-    return psi / math.sqrt(dim)
+    # adding site k in bit k appends the sign-flipped first half
+    psi = np.empty(1 << n)
+    psi[0] = 1.0 / math.sqrt(1 << n)
+    for k in range(n):
+        np.negative(psi[:1 << k], out=psi[1 << k:2 << k])
+    return psi.astype(np.complex128)
 
 
 def apply_hamiltonian(model: IsingModel, delta: float, psi: np.ndarray) -> np.ndarray:
     """Matrix-free H psi for the Hamiltonian at transverse field ``delta``."""
-    dim = 1 << model.n_sites
+    n = model.n_sites
     psi = np.asarray(psi)
-    if psi.shape != (dim,):
-        raise ValueError(f"state must have shape ({dim},), got {psi.shape}")
-    return _apply_h(diagonal_energies(model), delta, psi)
-
-
-def _apply_h(diag: np.ndarray, delta: float, psi: np.ndarray) -> np.ndarray:
-    """H psi given the Ising diagonal ``diag`` of H."""
-    out = diag * psi
+    if psi.shape != (1 << n,):
+        raise ValueError(f"state must have shape ({1 << n},), got {psi.shape}")
+    out = diagonal_energies(model) * psi
     if delta != 0.0:
-        n = diag.shape[0].bit_length() - 1
         arr = psi.reshape((2,) * n)
         acc = out.reshape((2,) * n)
         for axis in range(n):
             acc += delta * np.flip(arr, axis=axis)
     return out
+
+
+def _energy(diag: np.ndarray, delta: float, psi: np.ndarray) -> float:
+    """<psi|H|psi> given the Ising diagonal ``diag`` of H, with no
+    full-size temporary.
+
+    <psi|sx_i|psi> is twice the real dot product of the bit-i = 0 and
+    bit-i = 1 halves of psi, both taken as strided views of its float
+    (re, im) pairs.
+    """
+    pairs = psi.view(np.float64).reshape(-1, 2)
+    energy = np.einsum("s,sc,sc->", diag, pairs, pairs)
+    if delta != 0.0:
+        for i in range(diag.shape[0].bit_length() - 1):
+            halves = pairs.reshape(-1, 2, 2 << i)        # axis 1 is bit i
+            energy += 2.0 * delta * np.einsum("ij,ij->", halves[:, 0], halves[:, 1])
+    return float(energy)
+
+
+def _popcount(values: np.ndarray, bits: int) -> np.ndarray:
+    return sum((values >> i) & 1 for i in range(bits))
+
+
+# Largest site count stepped by the Walsh kernel; larger runs use the
+# blocked one.  Per step, one BLAS thread on a two-core Xeon, fastest of
+# 7 runs of 4000 steps (Walsh / blocked): n = 1..5 1.5-1.8 / 3.5-4.5 us,
+# 6 2.9 / 6.8, 7 7.0 / 8.0, 8 24 / 10, 9 206 / 15.  The Walsh step is a
+# dense 4^n matmul, so it loses fast past the crossover.
+_WALSH_MAX_SITES = 7
+
+# Steps per table of rotation coefficients.  Bounds the Walsh kernel's
+# table to 256 x 2^7 complex numbers (0.5 MB), where one table for the
+# whole of a 64,000-step anneal would take 131 MB.
+_CHUNK_STEPS = 256
+
+
+def _walsh_kernel(n: int, phase: np.ndarray):
+    """Stepper carrying the state in the Walsh-Hadamard basis.
+
+    With H[r, c] = (-1)^popcount(r & c) / sqrt(2^n), H sum_i sx_i H is
+    diag(n - 2 popcount(s)), so exp(-i theta sum_i sx_i) = H D H with
+    D = exp(-i theta (n - 2 popcount(s))).  Between the rotations of
+    consecutive steps sits the merged diagonal phase ``phase``, so in
+    the Walsh basis a step is a phase D_k and the fixed mixer
+    G = H diag(phase) H.  G[r, s] depends on r ^ s alone: it is the
+    Walsh transform of ``phase`` at r ^ s, divided by sqrt(2^n).
+
+    Returns ``advance(chi, thetas)``: the rotations by ``thetas`` with
+    ``phase`` between consecutive ones, applied to ``chi``.
+    """
+    dim = 1 << n
+    index = np.arange(dim)
+    signs = np.where(_popcount(index[:, None] & index, n) & 1, -1.0, 1.0)
+    walsh = signs / math.sqrt(dim)
+    # scaled by the exact 1 / dim: a rounded (1 / sqrt(dim))^2 would grow
+    # the norm by an ulp on every step
+    mixer = (signs @ phase / dim)[index[:, None] ^ index]
+    counts = _popcount(index, n)
+    levels = n - 2.0 * np.arange(n + 1)
+
+    def advance(chi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        phi = walsh @ chi
+        for lo in range(0, thetas.shape[0], _CHUNK_STEPS):
+            chunk = thetas[lo:lo + _CHUNK_STEPS]
+            rotations = np.exp(-1j * np.multiply.outer(chunk, levels))[:, counts]
+            if lo:
+                phi = mixer @ phi
+            for d in rotations[:-1]:
+                phi *= d
+                phi = mixer @ phi
+            phi *= rotations[-1]
+        return walsh @ phi
+
+    return advance
 
 
 # Sites per transverse-rotation block.  A block of b sites costs 2^n * 2^b
@@ -305,30 +385,47 @@ def _sx_blocks(n: int):
         lo += b
     hamming = {}
     for b, _ in blocks:
-        rc = np.arange(1 << b)[:, None] ^ np.arange(1 << b)
-        hamming[b] = sum((rc >> i) & 1 for i in range(b))
+        hamming[b] = _popcount(np.arange(1 << b)[:, None] ^ np.arange(1 << b), b)
     return blocks, hamming
 
 
-def _rotate_sx(psi: np.ndarray, sx_blocks, theta: float) -> np.ndarray:
-    """exp(-i theta sum_i sx_i) applied as one matmul per site block.
+def _blocked_kernel(n: int, phase: np.ndarray):
+    """Stepper applying each rotation as one matmul per site block.
 
     The single-site rotations commute, so on a block of b sites they
     multiply to the 2^b x 2^b Kronecker product with entry (r, c) =
     cos^(b-k) (-i sin)^k, k = popcount(r ^ c): symmetric, and the same
     for any order of the bits within the block.
+
+    Returns ``advance(chi, thetas)`` as :func:`_walsh_kernel` does, but
+    overwriting ``chi``.
     """
-    blocks, hamming = sx_blocks
-    c = math.cos(theta)
-    s = -1j * math.sin(theta)
-    unitary = {b: np.array([c ** (b - k) * s ** k for k in range(b + 1)])[table]
-               for b, table in hamming.items()}
-    for b, (left, width, right) in blocks:
-        if right == 1:
-            psi = psi.reshape(left, width) @ unitary[b]
-        else:
-            psi = unitary[b] @ psi.reshape(left, width, right)
-    return psi.reshape(-1)
+    blocks, hamming = _sx_blocks(n)
+
+    def advance(chi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        # each matmul writes into the other of two state-size buffers
+        spare = np.empty_like(chi)
+        for lo in range(0, thetas.shape[0], _CHUNK_STEPS):
+            chunk = thetas[lo:lo + _CHUNK_STEPS]
+            c = np.cos(chunk)[:, None]
+            s = -1j * np.sin(chunk)[:, None]
+            coefficients = {b: c ** (b - np.arange(b + 1)) * s ** np.arange(b + 1)
+                            for b in hamming}
+            for k in range(chunk.shape[0]):
+                if lo or k:
+                    chi *= phase
+                unitary = {b: coefficients[b][k][table] for b, table in hamming.items()}
+                for b, (left, width, right) in blocks:
+                    if right == 1:
+                        np.matmul(chi.reshape(left, width), unitary[b],
+                                  out=spare.reshape(left, width))
+                    else:
+                        np.matmul(unitary[b], chi.reshape(left, width, right),
+                                  out=spare.reshape(left, width, right))
+                    chi, spare = spare, chi
+        return chi
+
+    return advance
 
 
 def evolve(model: IsingModel, schedule: Schedule, psi0: np.ndarray | None = None,
@@ -353,43 +450,39 @@ def evolve(model: IsingModel, schedule: Schedule, psi0: np.ndarray | None = None
         if norm == 0.0:
             raise ValueError("initial state must be non-zero")
         psi /= norm
+    steps = schedule.steps
     scale = schedule.phase_scale
-    dt = schedule.t_total / schedule.steps
+    dt = schedule.t_total / steps
     diag = diagonal_energies(model)
     half_phase = np.exp(-0.5j * diag * dt * scale)
+    # the adjacent half-phases of consecutive steps merge into one
+    full_phase = half_phase * half_phase
+    thetas = schedule.delta_at((np.arange(steps) + 0.5) * dt) * dt * scale
+    kernel = _walsh_kernel if n <= _WALSH_MAX_SITES else _blocked_kernel
+    advance = kernel(n, full_phase)
 
     times, deltas, energies = [], [], []
 
     def record(step: int) -> None:
         t = step * dt
         d = schedule.delta_at(t)
-        e = float(np.vdot(psi, _apply_h(diag, d, psi)).real)
         times.append(t)
         deltas.append(d)
-        energies.append(e)
+        energies.append(_energy(diag, d, psi))
 
-    sx_blocks = _sx_blocks(n)
     if record_every > 0:
         record(0)
-        for k in range(schedule.steps):
-            psi *= half_phase
-            theta = schedule.delta_at((k + 0.5) * dt) * dt * scale
-            if theta != 0.0:
-                psi = _rotate_sx(psi, sx_blocks, theta)
-            psi *= half_phase
-            if (k + 1) % record_every == 0 or k + 1 == schedule.steps:
-                record(k + 1)
+        stops = [*range(record_every, steps, record_every), steps]
     else:
-        # merge the adjacent diagonal half-phases of consecutive steps;
-        # the regrouped product is exactly the same unitary
-        full_phase = half_phase * half_phase
-        psi = psi * half_phase
-        last = schedule.steps - 1
-        for k in range(schedule.steps):
-            theta = schedule.delta_at((k + 0.5) * dt) * dt * scale
-            if theta != 0.0:
-                psi = _rotate_sx(psi, sx_blocks, theta)
-            psi *= half_phase if k == last else full_phase
+        stops = [steps]
+    start = 0
+    for stop in stops:
+        psi *= half_phase
+        psi = advance(psi, thetas[start:stop])
+        psi *= half_phase
+        if record_every > 0:
+            record(stop)
+        start = stop
     return EvolutionResult(psi=psi, times=np.array(times), deltas=np.array(deltas),
                            energies=np.array(energies))
 
@@ -403,12 +496,16 @@ def measure(psi: np.ndarray, shots: int, seed: int) -> dict[str, int]:
         raise ValueError("shot count must be at least 1")
     psi = np.asarray(psi)
     n = int(round(math.log2(psi.shape[0])))
-    if 1 << n != psi.shape[0]:
-        raise ValueError("state length must be a power of two")
+    if n < 1 or 1 << n != psi.shape[0]:
+        raise ValueError("state length must be a power of two, at least 2")
     p = np.abs(psi) ** 2
     p /= p.sum()
     counts = np.random.default_rng(seed).multinomial(shots, p)
-    return {state_string(n, int(idx)): int(counts[idx]) for idx in np.flatnonzero(counts)}
+    outcomes = np.flatnonzero(counts)
+    # site i is character i of the bitstring, read as fixed-width bytes
+    chars = ((outcomes[:, None] >> np.arange(n)) & 1).astype(np.uint8) + ord("0")
+    states = chars.view(f"S{n}").ravel().astype(str)
+    return dict(zip(states.tolist(), counts[outcomes].tolist()))
 
 
 def brute_force_ground_state(model: IsingModel) -> GroundState:

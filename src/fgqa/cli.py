@@ -90,11 +90,38 @@ def _number(obj: dict, key: str, where: str, default=None, required=False,
             raise ConfigError(f"missing required key {key!r} in {where}")
         return default
     v = obj[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
+    if not _is_number(v):
         raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
     if positive and v <= 0:
         raise ConfigError(f"{where}.{key} must be positive, got {v}")
     return float(v)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _numbers(obj: dict, key: str, where: str, default, scalar: bool):
+    """A list of numbers, or with ``scalar`` also a single number."""
+    v = obj.get(key, default)
+    if scalar and _is_number(v):
+        return float(v)
+    if not isinstance(v, list) or not all(_is_number(x) for x in v):
+        kind = "a number or a list of numbers" if scalar else "a list of numbers"
+        raise ConfigError(f"{where}.{key} must be {kind}, got {v!r}")
+    return [float(x) for x in v]
+
+
+def _count(obj: dict, key: str, where: str, default=None, required=False) -> int | None:
+    """A positive integer."""
+    if key not in obj:
+        if required:
+            raise ConfigError(f"missing required key {key!r} in {where}")
+        return default
+    v = obj[key]
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        raise ConfigError(f"{where}.{key} must be a positive integer, got {v!r}")
+    return v
 
 
 def _material(cfg: dict, where: str = "material") -> MaterialStack:
@@ -336,31 +363,35 @@ def _build_problem(cfg: dict) -> annealing.IsingModel:
     if not isinstance(prob, dict):
         raise ConfigError("missing required object 'problem'")
     kind = prob.get("kind")
-    try:
-        if kind == "chain":
-            _check_keys(prob, {"kind", "h", "j"}, "problem")
-            return annealing.chain_model(prob.get("h", []), prob.get("j", []))
-        if kind == "grid":
-            _check_keys(prob, {"kind", "rows", "cols", "h", "j"}, "problem")
-            return annealing.grid_model(int(prob["rows"]), int(prob["cols"]),
-                                        prob.get("h", 0.0), float(prob["j"]))
-        if kind == "maxcut":
-            _check_keys(prob, {"kind", "edges", "n_sites"}, "problem")
-            edges = prob.get("edges")
-            if not isinstance(edges, list) or not edges:
-                raise ConfigError("problem.edges must be a non-empty list")
-            return annealing.maxcut_to_ising(edges, prob.get("n_sites"))
-        if kind == "fg_grid":
-            _check_keys(prob, {"kind", "rows", "cols", "geometry", "material",
-                               "v_cg", "n_g"}, "problem")
-            mat = _material(prob, "problem.material")
-            geom = _geometry(prob.get("geometry"), mat, "problem.geometry")
-            return annealing.fg_grid_model(
-                geom, mat, BiasSet.uniform(3), int(prob["rows"]), int(prob["cols"]),
-                n_g=_number(prob, "n_g", "problem", 0.0),
-                v_cg=_number(prob, "v_cg", "problem", 0.0))
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"invalid problem block: {exc}") from exc
+    if kind == "chain":
+        _check_keys(prob, {"kind", "h", "j"}, "problem")
+        return annealing.chain_model(_numbers(prob, "h", "problem", [], scalar=False),
+                                     _numbers(prob, "j", "problem", [], scalar=True))
+    if kind == "grid":
+        _check_keys(prob, {"kind", "rows", "cols", "h", "j"}, "problem")
+        return annealing.grid_model(_count(prob, "rows", "problem", required=True),
+                                    _count(prob, "cols", "problem", required=True),
+                                    _numbers(prob, "h", "problem", 0.0, scalar=True),
+                                    _number(prob, "j", "problem", required=True))
+    if kind == "maxcut":
+        _check_keys(prob, {"kind", "edges", "n_sites"}, "problem")
+        edges = prob.get("edges")
+        if not isinstance(edges, list) or not edges:
+            raise ConfigError("problem.edges must be a non-empty list")
+        try:
+            return annealing.maxcut_to_ising(edges, _count(prob, "n_sites", "problem"))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid problem.edges: {exc}") from exc
+    if kind == "fg_grid":
+        _check_keys(prob, {"kind", "rows", "cols", "geometry", "material",
+                           "v_cg", "n_g"}, "problem")
+        mat = _material(prob, "problem.material")
+        geom = _geometry(prob.get("geometry"), mat, "problem.geometry")
+        return annealing.fg_grid_model(
+            geom, mat, BiasSet.uniform(3), _count(prob, "rows", "problem", required=True),
+            _count(prob, "cols", "problem", required=True),
+            n_g=_number(prob, "n_g", "problem", 0.0),
+            v_cg=_number(prob, "v_cg", "problem", 0.0))
     raise ConfigError(f"problem.kind must be chain, grid, maxcut or fg_grid, got {kind!r}")
 
 
@@ -373,9 +404,7 @@ def _build_schedule(cfg: dict, model: annealing.IsingModel) -> annealing.Schedul
     delta0 = _number(sched, "delta0_ev", "schedule", model.delta0)
     if delta0 is None:
         raise ConfigError("schedule.delta0_ev is required for this problem kind")
-    steps = sched.get("steps", 2000)
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
-        raise ConfigError("schedule.steps must be a positive integer")
+    steps = _count(sched, "steps", "schedule", 2000)
     try:
         return annealing.Schedule(
             delta0=delta0,
@@ -392,9 +421,7 @@ def cmd_anneal(cfg: dict, out: str | None, seed: int, threads: int) -> int:
     _check_keys(cfg, {"schema_version", "problem", "schedule", "shots"}, "config")
     model = _build_problem(cfg)
     schedule = _build_schedule(cfg, model)
-    shots = cfg.get("shots", 4096)
-    if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
-        raise ConfigError("shots must be a positive integer")
+    shots = _count(cfg, "shots", "config", 4096)
 
     record_every = max(1, schedule.steps // 200)
     result = annealing.evolve(model, schedule, record_every=record_every)

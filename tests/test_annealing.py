@@ -21,7 +21,7 @@ from fgqa.annealing import (
     state_string,
     success_probability,
 )
-from fgqa.annealing import _rotate_sx, _sx_blocks
+from fgqa.annealing import _CHUNK_STEPS, _WALSH_MAX_SITES, _blocked_kernel, _walsh_kernel
 from fgqa.cells import BiasSet, MaterialStack, cell_from_coupling_ratio
 from fgqa.charging import ising_parameters, reduce_network
 from fgqa.cells import build_network
@@ -84,21 +84,108 @@ def flip_rotation(psi, theta):
     return psi
 
 
+def blocked_rotation(psi, theta):
+    """exp(-i theta sum sx) psi as one step of the blocked kernel."""
+    return _blocked_kernel(psi.shape[0].bit_length() - 1, np.ones(psi.shape[0]))(
+        psi.copy(), np.array([theta]))
+
+
+def strang_reference(model, schedule, psi0):
+    """Step-by-step Strang splitting with per-site flips, angles from scalar calls."""
+    dt = schedule.t_total / schedule.steps
+    half = np.exp(-0.5j * diagonal_energies(model) * dt)
+    psi = np.array(psi0, dtype=complex)
+    for k in range(schedule.steps):
+        psi = half * flip_rotation(half * psi, schedule.delta_at((k + 0.5) * dt) * dt)
+    return psi
+
+
 class TestTransverseRotation:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_dense_exponential(self, rng, n):
         theta = 0.37
         sx_sum = dense_hamiltonian(IsingModel(n, np.zeros(n), ()), 1.0)
         psi = random_state(rng, n)
-        np.testing.assert_allclose(_rotate_sx(psi, _sx_blocks(n), theta),
+        np.testing.assert_allclose(blocked_rotation(psi, theta),
                                    expm(-1j * theta * sx_sum) @ psi, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", (5, 6, 10, 11, 15, 16))
     def test_matches_per_site_flips_at_block_boundaries(self, rng, n):
         psi = random_state(rng, n)
         for theta in (0.05, 1.3):
-            np.testing.assert_allclose(_rotate_sx(psi, _sx_blocks(n), theta),
+            np.testing.assert_allclose(blocked_rotation(psi, theta),
                                        flip_rotation(psi, theta), rtol=0, atol=1e-14)
+
+
+class TestStepKernels:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_evolve_matches_dense_strang_product(self, rng, n):
+        model = IsingModel(n, rng.normal(size=n),
+                           tuple((i, i + 1, float(rng.normal())) for i in range(n - 1)))
+        sched = Schedule(delta0=1.5, t_total=2.0, steps=5, profile="exponential")
+        dt = sched.t_total / sched.steps
+        half = expm(-0.5j * dt * dense_hamiltonian(model, 0.0))
+        sx_sum = dense_hamiltonian(IsingModel(n, np.zeros(n), ()), 1.0)
+        psi0 = random_state(rng, n)
+        expected = psi0
+        for k in range(sched.steps):
+            theta = sched.delta_at((k + 0.5) * dt) * dt
+            expected = half @ (expm(-1j * theta * sx_sum) @ (half @ expected))
+        np.testing.assert_allclose(evolve(model, sched, psi0=psi0).psi, expected,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", (6, 7, 8))
+    def test_kernels_agree_after_many_steps(self, rng, n):
+        phase = np.exp(-1j * rng.uniform(0.0, 0.1, 2**n))
+        thetas = Schedule(delta0=4.0, t_total=1000.0, steps=1000,
+                          profile="exponential").delta_at(np.arange(1000) + 0.5)
+        psi = random_state(rng, n)
+        np.testing.assert_allclose(_walsh_kernel(n, phase)(psi.copy(), thetas),
+                                   _blocked_kernel(n, phase)(psi.copy(), thetas),
+                                   rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("n", (5, 8))
+    @pytest.mark.parametrize("steps", (1, 255, 256, 257, 1000))
+    def test_chunk_edges(self, rng, n, steps):
+        assert _CHUNK_STEPS == 256
+        model = IsingModel(n, rng.normal(size=n),
+                           tuple((i, i + 1, float(rng.normal())) for i in range(n - 1)))
+        sched = Schedule(delta0=2.0, t_total=0.05 * steps, steps=steps)
+        psi0 = random_state(rng, n)
+        np.testing.assert_allclose(evolve(model, sched, psi0=psi0).psi,
+                                   strang_reference(model, sched, psi0), rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("n", (5, 9))
+    def test_zero_field_is_pure_phase(self, rng, n):
+        assert (n <= _WALSH_MAX_SITES) == (n == 5)
+        model = chain_model(rng.normal(size=n), rng.normal(size=n - 1))
+        sched = Schedule(delta0=0.0, t_total=3.0, steps=300)
+        psi0 = random_state(rng, n)
+        expected = np.exp(-3.0j * diagonal_energies(model)) * psi0
+        np.testing.assert_allclose(evolve(model, sched, psi0=psi0).psi, expected,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", (4, 11, 16))
+    def test_recorded_trace(self, rng, n):
+        model = chain_model(rng.normal(size=n), rng.normal(size=n - 1))
+        sched = Schedule(delta0=2.0, t_total=3.0, steps=30, profile="exponential")
+        res = evolve(model, sched, record_every=7)
+        dt = sched.t_total / sched.steps
+        times = [k * dt for k in (0, 7, 14, 21, 28, 30)]
+        # the scalar schedule formula as it was before delta_at took arrays
+        deltas = [sched.delta0 * sched.floor_ratio**min(max(t / sched.t_total, 0.0), 1.0)
+                  for t in times]
+        np.testing.assert_array_equal(res.times, times)
+        np.testing.assert_array_equal(res.deltas, deltas)
+        expected = np.vdot(res.psi, apply_hamiltonian(model, res.deltas[-1], res.psi)).real
+        assert abs(res.energies[-1] - expected) <= 1e-12 * max(1.0, abs(expected))
+
+    @pytest.mark.parametrize("n", (5, 9))
+    def test_recording_does_not_change_state(self, rng, n):
+        model = chain_model(rng.normal(size=n), rng.normal(size=n - 1))
+        sched = Schedule(delta0=2.0, t_total=40.0, steps=800, profile="exponential")
+        np.testing.assert_allclose(evolve(model, sched, record_every=300).psi,
+                                   evolve(model, sched).psi, rtol=0, atol=1e-12)
 
 
 class TestDiagonalEnergies:
@@ -166,6 +253,15 @@ class TestSchedule:
         sched = Schedule(delta0=2.0, t_total=10.0, steps=100, profile="exponential")
         assert sched.delta_at(10.0) / sched.delta0 <= 1e-6
 
+    @pytest.mark.parametrize("profile", ("linear", "exponential"))
+    def test_array_times_match_scalar_calls(self, profile):
+        sched = Schedule(delta0=2.0, t_total=10.0, steps=100, profile=profile)
+        t = np.linspace(-1.0, 11.0, 97)
+        d = sched.delta_at(t)
+        assert isinstance(sched.delta_at(3.0), float)
+        np.testing.assert_allclose(d, [sched.delta_at(float(v)) for v in t],
+                                   rtol=1e-15, atol=0)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             Schedule(delta0=1.0, t_total=1.0, steps=0)
@@ -197,6 +293,13 @@ class TestEvolve:
         a = evolve(model, sched).psi
         b = evolve(model, sched).psi
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_initial_state_matches_parity_formula(self, n):
+        idx = np.arange(2**n)
+        parity = sum((idx >> i) & 1 for i in range(n)) & 1
+        expected = np.where(parity == 0, 1.0, -1.0).astype(np.complex128) / math.sqrt(2**n)
+        assert np.array_equal(initial_state(n), expected)
 
     def test_initial_state_is_transverse_ground_state(self):
         n = 5

@@ -213,6 +213,17 @@ class TestAnneal:
         assert main(["anneal", "--config",
                      write_config(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("problem, key", [
+        ({"kind": "grid", "rows": 2.7, "cols": 2, "j": 1.0}, "rows"),
+        ({"kind": "chain", "h": ["a"], "j": [1.0]}, "h"),
+        ({"kind": "chain", "h": [0.1, 0.2], "j": None}, "j"),
+    ])
+    def test_malformed_problem_key_is_config_error(self, tmp_path, capsys, problem, key):
+        cfg = dict(ANNEAL_CFG, problem=problem)
+        assert main(["anneal", "--config",
+                     write_config(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
+        assert f"problem.{key} " in capsys.readouterr().err
+
     def test_fg_grid_problem_runs(self, tmp_path, capsys):
         cfg = {
             "schema_version": 1,
