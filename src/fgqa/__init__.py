@@ -20,6 +20,7 @@ from .annealing import (
     brute_force_ground_state,
     chain_model,
     cut_value,
+    device_parameters,
     evolve,
     fg_grid_model,
     grid_model,

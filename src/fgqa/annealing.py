@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cells import BiasSet, CapacitanceNetwork, CellGeometry, MaterialStack, build_network
-from .charging import ising_parameters, reduce_network
+from .charging import IsingParameters, ising_parameters, reduce_network
 from .constants import CONST
 from .tunneling import TunnelBarrier, tunnel_amplitude
 
@@ -65,6 +65,7 @@ __all__ = [
     "measure",
     "brute_force_ground_state",
     "success_probability",
+    "device_parameters",
     "fg_grid_model",
 ]
 
@@ -165,12 +166,12 @@ class GroundState:
 
 
 def chain_model(h, j, delta0: float | None = None) -> IsingModel:
-    """Open chain with per-site fields ``h`` and per-bond couplings ``j``."""
+    """Open chain with per-site fields ``h`` and per-bond couplings ``j`` (or one for all)."""
     h = np.asarray(h, dtype=float)
     j = np.atleast_1d(np.asarray(j, dtype=float))
     n = h.shape[0]
-    if j.shape == (1,) and n > 2:
-        j = np.full(n - 1, j[0])
+    if j.shape == (1,):
+        j = np.full(max(n - 1, 0), j[0])
     if j.shape != (max(n - 1, 0),):
         raise ValueError(f"expected {n - 1} bond couplings, got {j.shape}")
     couplings = tuple((i, i + 1, float(j[i])) for i in range(n - 1))
@@ -534,6 +535,24 @@ def success_probability(model: IsingModel, psi: np.ndarray) -> float:
     return float(sum(p[i] for i in idx))
 
 
+def device_parameters(geom: CellGeometry, mat: MaterialStack, bias: BiasSet | None = None,
+                      n_g: float = 0.0,
+                      v_cg: float | None = None) -> tuple[IsingParameters, float]:
+    """Three-cell Ising terms and WKB tunnel amplitude (Hz) of one cell geometry.
+
+    ``bias`` defaults to zero volts; one of another row length lends its
+    first gate, substrate and rail voltages to all three cells.  ``v_cg``
+    defaults to the first gate bias.
+    """
+    if bias is None:
+        bias = BiasSet.uniform(3)
+    elif bias.m != 3:
+        bias = BiasSet.uniform(3, bias.v_gate[0], bias.v_sub, bias.v_rail[0])
+    params = ising_parameters(reduce_network(build_network(geom, mat, 3), bias), n_g)
+    v = bias.v_gate[0] if v_cg is None else v_cg
+    return params, tunnel_amplitude(geom, TunnelBarrier.from_stack(geom, mat), v)
+
+
 def fg_grid_model(geom: CellGeometry, mat: MaterialStack, bias: BiasSet,
                   rows: int, cols: int, n_g: float = 0.0,
                   v_cg: float | None = None) -> IsingModel:
@@ -541,17 +560,11 @@ def fg_grid_model(geom: CellGeometry, mat: MaterialStack, bias: BiasSet,
 
     Every edge carries the nearest-neighbour coupling of the three-cell
     closed form (its first adjacent pair), every site the interior-cell
-    field at the supplied gate coordinate ``n_g``, and ``delta0`` is the
-    tunnel amplitude (eV) at the gate voltage ``v_cg`` (defaulting to
-    the first gate bias).
+    field at gate coordinate ``n_g``; ``delta0`` is the tunnel amplitude
+    (eV) at ``v_cg``.  All three come from :func:`device_parameters`.
     """
     if rows * cols > MAX_SITES:
         raise ValueError(f"grid has {rows * cols} sites; at most {MAX_SITES} supported")
-    net = build_network(geom, mat, 3)
-    bias3 = bias if bias.m == 3 else BiasSet.uniform(3, bias.v_gate[0], bias.v_sub,
-                                                     bias.v_rail[0])
-    params = ising_parameters(reduce_network(net, bias3), n_g)
-    barrier = TunnelBarrier.from_stack(geom, mat)
-    v = bias3.v_gate[0] if v_cg is None else v_cg
-    delta0_ev = tunnel_amplitude(geom, barrier, v) / CONST.hz_per_ev
-    return grid_model(rows, cols, h=params.h[1], j=params.j[0], delta0=delta0_ev)
+    params, amplitude = device_parameters(geom, mat, bias, n_g, v_cg)
+    return grid_model(rows, cols, h=params.h[1], j=params.j[0],
+                      delta0=amplitude / CONST.hz_per_ev)

@@ -17,7 +17,9 @@ where ``c_eff_i`` are the elimination pivots of the island matrix,
 island i, and ``w_i`` the corresponding quadratic bias terms.  The same
 energy is recovered numerically by :func:`minimize_charge_oracle`,
 which solves the original constrained quadratic programme over all
-branch charges exactly (a KKT linear system).
+branch charges exactly (a KKT linear system).  Its branches come from
+one table, ``_branches``: (kind, island, C, V) arrays of every branch
+with C > 0, which also labels the charges of :func:`solve_branch_charges`.
 
 Near the degeneracy point between ``n_i`` and ``n_i + 1`` electrons the
 two charge states form a qubit, and expanding the quadratic form on
@@ -197,58 +199,36 @@ def effective_gate_charge(form: ReducedChargingForm, n) -> np.ndarray:
     return n + 0.5 + form.q_offset / _E
 
 
-def _branch_table(net: CapacitanceNetwork, bias: BiasSet):
-    """Enumerate existing branches as (capacitance, bias voltage, incidence).
+# Branch kinds in the order each island lists them; the index of a kind is its
+# column in the stacked (m, 7) capacitances of :func:`_branches`.
+_BRANCH_KINDS = ("q_gate", "q_sub", "q_source", "q_drain", "q_gate_left",
+                 "q_gate_right", "q_fg")
+_FG = _BRANCH_KINDS.index("q_fg")
 
-    Incidence maps island index -> orientation sign in the charge
-    constraint.  Voltage-connected branches enter their island with -1;
-    the FG-FG branch between islands i and i+1 enters them with -1/+1.
+
+def _branches(net: CapacitanceNetwork, bias: BiasSet):
+    """The network's branches as (kind, island, C, V) arrays, island by island.
+
+    Only branches with C > 0 are listed.  Every branch enters the charge
+    constraint of its island with -1; the FG-FG branch from island i to
+    i+1 (bias voltage 0) also enters island i+1 with +1.
     """
     m = net.m
-    vg = bias.v_gate
-    vr = bias.v_rail
-    branches = []
-    for i in range(m):
-        branches.append((net.c_gate[i], vg[i], {i: -1.0}))
-        branches.append((net.c_sub[i], bias.v_sub, {i: -1.0}))
-        branches.append((net.c_source[i], vr[i], {i: -1.0}))
-        branches.append((net.c_drain[i], vr[i + 1], {i: -1.0}))
-        if i > 0 and net.c_gate_left[i] > 0.0:
-            branches.append((net.c_gate_left[i], vg[i - 1], {i: -1.0}))
-        if i < m - 1 and net.c_gate_right[i] > 0.0:
-            branches.append((net.c_gate_right[i], vg[i + 1], {i: -1.0}))
-        if i < m - 1 and net.c_fg[i] > 0.0:
-            branches.append((net.c_fg[i], None, {i: -1.0, i + 1: 1.0}))
-    return [b for b in branches if b[0] > 0.0]
+    vg, vr = bias.v_gate, bias.v_rail
+    caps = np.array([net.c_gate, net.c_sub, net.c_source, net.c_drain,
+                     net.c_gate_left, net.c_gate_right, net.c_fg]).T
+    volts = np.array([vg, (bias.v_sub,) * m, vr[:m], vr[1:], (0.0,) + vg[:m - 1],
+                      vg[1:] + (0.0,), (0.0,) * m]).T
+    island, kind = np.nonzero(caps)
+    return kind, island, caps[island, kind], volts[island, kind]
 
 
 def solve_branch_charges(net: CapacitanceNetwork, bias: BiasSet, n) -> BranchCharges:
     """Branch charges minimising the network energy at fixed occupation."""
-    q, _ = _solve_kkt(net, bias, n)
-    m = net.m
-    out = {name: np.zeros(m) for name in
-           ("q_gate", "q_sub", "q_fg", "q_gate_left", "q_gate_right",
-            "q_source", "q_drain")}
-    for (value, (kind, i)) in zip(q, _branch_labels(net)):
-        out[kind][i] = value
-    return BranchCharges(**out)
-
-
-def _branch_labels(net: CapacitanceNetwork):
-    m = net.m
-    labels = []
-    for i in range(m):
-        labels.append(("q_gate", i))
-        labels.append(("q_sub", i))
-        labels.append(("q_source", i))
-        labels.append(("q_drain", i))
-        if i > 0 and net.c_gate_left[i] > 0.0:
-            labels.append(("q_gate_left", i))
-        if i < m - 1 and net.c_gate_right[i] > 0.0:
-            labels.append(("q_gate_right", i))
-        if i < m - 1 and net.c_fg[i] > 0.0:
-            labels.append(("q_fg", i))
-    return labels
+    q, (kind, island, _, _) = _solve_kkt(net, bias, n)
+    out = np.zeros((len(_BRANCH_KINDS), net.m))
+    out[kind, island] = q
+    return BranchCharges(**dict(zip(_BRANCH_KINDS, out)))
 
 
 def _solve_kkt(net: CapacitanceNetwork, bias: BiasSet, n):
@@ -258,19 +238,17 @@ def _solve_kkt(net: CapacitanceNetwork, bias: BiasSet, n):
         raise ValueError(f"expected {m} occupation numbers, got shape {n.shape}")
     if bias.m != m:
         raise ValueError("bias and network cell counts differ")
-    branches = _branch_table(net, bias)
-    nb = len(branches)
+    branches = kind, island, cap, volt = _branches(net, bias)
+    nb = cap.size
+    b = np.arange(nb)
+    fg = np.flatnonzero(kind == _FG)
     kkt = np.zeros((nb + m, nb + m))
-    rhs = np.zeros(nb + m)
-    for b, (cap, volt, incidence) in enumerate(branches):
-        kkt[b, b] = 1.0 / cap
-        rhs[b] = 0.0 if volt is None else volt
-        for isl, sign in incidence.items():
-            kkt[b, nb + isl] = -sign
-            kkt[nb + isl, b] = sign
-    rhs[nb:] = n * _E
+    kkt[b, b] = 1.0 / cap
+    kkt[b, nb + island] = 1.0
+    kkt[fg, nb + 1 + island[fg]] = -1.0
+    kkt[nb:, :nb] = -kkt[:nb, nb:].T      # constraint rows: the negated incidence
     try:
-        sol = np.linalg.solve(kkt, rhs)
+        sol = np.linalg.solve(kkt, np.concatenate((volt, n * _E)))
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular charge-constraint system (non-physical "
                          f"network): {exc}") from exc
@@ -285,13 +263,8 @@ def minimize_charge_oracle(net: CapacitanceNetwork, bias: BiasSet, n) -> float:
     linear system.  Works for any row length; serves as the independent
     cross-check of :func:`charging_energy`.
     """
-    q, branches = _solve_kkt(net, bias, n)
-    u = 0.0
-    for value, (cap, volt, _) in zip(q, branches):
-        u += value**2 / (2.0 * cap)
-        if volt is not None:
-            u -= value * volt
-    return u / _E
+    q, (_, _, cap, volt) = _solve_kkt(net, bias, n)
+    return float(np.sum(q * (q / (2.0 * cap) - volt))) / _E
 
 
 def ising_parameters(form: ReducedChargingForm, n_g) -> IsingParameters:

@@ -4,7 +4,7 @@ Four subcommands, all driven by a JSON config (see README for the
 schemas) and all deterministic for a fixed config and seed:
 
     fgqa derive   --config cfg.json [--out table.csv]
-    fgqa sweep    --config cfg.json --out sweep.csv [--threads N]
+    fgqa sweep    --config cfg.json --out sweep.csv
     fgqa anneal   --config cfg.json [--out prefix] [--seed S]
     fgqa decohere --config cfg.json [--out pt.csv]
 
@@ -21,15 +21,16 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import annealing, charging, decoherence
-from .cells import BiasSet, CellGeometry, MaterialStack, build_network, cell_from_coupling_ratio
-from .constants import CONST, convert
-from .tunneling import BarrierCollapseError, TunnelBarrier, classify, tunnel_amplitude
+from .cells import (BiasSet, CellGeometry, MaterialStack, build_network,
+                    cell_from_coupling_ratio, control_oxide_thickness)
+from .constants import convert
+from .tunneling import BarrierCollapseError, TunnelBarrier, classify
 
 __all__ = ["main", "ConfigError", "parse_config", "emit_config"]
 
@@ -97,39 +98,54 @@ def _number(obj: dict, key: str, where: str, default=None, required=False,
     return float(v)
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _is_number(v, positive=False) -> bool:
+    """Not a bool, NaN or Infinity (json.loads accepts the last two)."""
+    return (isinstance(v, int) and not isinstance(v, bool)
+            or isinstance(v, float) and math.isfinite(v)) and (v > 0 or not positive)
 
 
-def _numbers(obj: dict, key: str, where: str, default, scalar: bool):
+def _numbers(obj: dict, key: str, where: str, default, scalar: bool, positive=False):
     """A list of numbers, or with ``scalar`` also a single number."""
     v = obj.get(key, default)
-    if scalar and _is_number(v):
+    if scalar and _is_number(v, positive):
         return float(v)
-    if not isinstance(v, list) or not all(_is_number(x) for x in v):
-        kind = "a number or a list of numbers" if scalar else "a list of numbers"
+    if not isinstance(v, list) or not all(_is_number(x, positive) for x in v):
+        kind = "positive numbers" if positive else "numbers"
+        kind = f"a number or a list of {kind}" if scalar else f"a list of {kind}"
         raise ConfigError(f"{where}.{key} must be {kind}, got {v!r}")
     return [float(x) for x in v]
 
 
-def _count(obj: dict, key: str, where: str, default=None, required=False) -> int | None:
-    """A positive integer."""
+def _count(obj: dict, key: str, where: str, default=None, required=False,
+           minimum=1) -> int | None:
+    """An integer of at least ``minimum``."""
     if key not in obj:
         if required:
             raise ConfigError(f"missing required key {key!r} in {where}")
         return default
     v = obj[key]
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise ConfigError(f"{where}.{key} must be a positive integer, got {v!r}")
+    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
+        kind = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
+        raise ConfigError(f"{where}.{key} must be {kind}, got {v!r}")
+    return v
+
+
+def _object(obj: dict, key: str, where: str, allowed: set[str] | None = None,
+            required=False) -> dict:
+    """The JSON object under ``key`` (named ``where``); {} when absent."""
+    if required and key not in obj:
+        raise ConfigError(f"missing required object {where!r}")
+    v = obj.get(key, {})
+    if not isinstance(v, dict):
+        raise ConfigError(f"{where} must be an object")
+    if allowed is not None:
+        _check_keys(v, allowed, where)
     return v
 
 
 def _material(cfg: dict, where: str = "material") -> MaterialStack:
-    obj = cfg.get("material", {})
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    _check_keys(obj, {"eps_ox_f_per_nm", "eps_gate_f_per_nm", "barrier_ev",
-                      "m_ox", "m_si", "doping_cm3"}, where)
+    obj = _object(cfg, "material", where, {"eps_ox_f_per_nm", "eps_gate_f_per_nm",
+                                           "barrier_ev", "m_ox", "m_si", "doping_cm3"})
     defaults = MaterialStack()
     try:
         return MaterialStack(
@@ -145,8 +161,6 @@ def _material(cfg: dict, where: str = "material") -> MaterialStack:
 
 
 def _geometry(obj: dict, mat: MaterialStack, where: str = "geometry") -> CellGeometry:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
     _check_keys(obj, {"length_nm", "width_nm", "height_nm", "tunnel_oxide_nm",
                       "gate_oxide_nm", "coupling_ratio", "gap_nm"}, where)
     length = _number(obj, "length_nm", where, required=True, positive=True)
@@ -171,11 +185,8 @@ def _geometry(obj: dict, mat: MaterialStack, where: str = "geometry") -> CellGeo
 
 
 def _environment(cfg: dict, where: str = "environment") -> decoherence.PhononEnvironment:
-    obj = cfg.get("environment", {})
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    _check_keys(obj, {"gamma_ev", "sound_speed_m_s", "density_kg_m3",
-                      "debye_temperature_k", "alpha"}, where)
+    obj = _object(cfg, "environment", where, {"gamma_ev", "sound_speed_m_s", "density_kg_m3",
+                                              "debye_temperature_k", "alpha"})
     d = decoherence.PhononEnvironment()
     try:
         return decoherence.PhononEnvironment(
@@ -221,158 +232,139 @@ def _write_csv(path: str | None, command: str, cfg: dict, columns: list[str],
 
 # ---------------------------------------------------------------- derive
 
-def _derive_row(length: float, cfg: dict, mat: MaterialStack):
+_DATASHEET_COLUMNS = ["J_K", "U_h_K", "U_w_eV", "tunnel_Hz"]
+
+
+def _datasheet(geom: CellGeometry, mat: MaterialStack, v_cg: float) -> tuple[float, ...]:
+    """The ``_DATASHEET_COLUMNS`` of one cell geometry."""
+    params, amplitude = annealing.device_parameters(geom, mat, v_cg=v_cg)
+    return convert(params.j[0], "eV", "K"), convert(params.u_h, "eV", "K"), params.u_w, amplitude
+
+
+def cmd_derive(cfg: dict, out: str | None) -> int:
+    _check_keys(cfg, {"schema_version", "lengths_nm", "tunnel_oxide_nm", "fg_height_nm",
+                      "coupling_ratio", "material", "v_cg", "normally_on_threshold_hz",
+                      "environment", "coherence_delta_kelvin"}, "config")
+    lengths = _numbers(cfg, "lengths_nm", "config", [], scalar=False, positive=True)
     height = _number(cfg, "fg_height_nm", "config", required=True, positive=True)
     d_ox = _number(cfg, "tunnel_oxide_nm", "config", required=True, positive=True)
     cr = _number(cfg, "coupling_ratio", "config", required=True)
     v_cg = _number(cfg, "v_cg", "config", 0.0)
     threshold = _number(cfg, "normally_on_threshold_hz", "config", 1e3, positive=True)
-    geom = cell_from_coupling_ratio(length, height, d_ox, cr, mat=mat)
-    net = build_network(geom, mat, 3)
-    params = charging.ising_parameters(
-        charging.reduce_network(net, BiasSet.uniform(3)), 0.0)
-    barrier = TunnelBarrier.from_stack(geom, mat)
-    amplitude = tunnel_amplitude(geom, barrier, v_cg)
-    device = classify(geom, barrier, threshold)
-    env = _environment(cfg)
-    exponent = decoherence.renormalization_exponent(env)
-    delta_k = cfg.get("coherence_delta_kelvin")
-    delta_hz = amplitude if delta_k is None else convert(float(delta_k), "K", "Hz")
-    t_coh = decoherence.coherence_time(delta_hz, env.alpha) if delta_hz > 0 else float("inf")
-    return (length, convert(params.j[0], "eV", "K"), convert(params.u_h, "eV", "K"),
-            params.u_w, amplitude, device.value, exponent, t_coh)
-
-
-def cmd_derive(cfg: dict, out: str | None, threads: int) -> int:
-    _check_keys(cfg, {"schema_version", "lengths_nm", "tunnel_oxide_nm", "fg_height_nm",
-                      "coupling_ratio", "material", "v_cg", "normally_on_threshold_hz",
-                      "environment", "coherence_delta_kelvin"}, "config")
-    lengths = cfg.get("lengths_nm", [])
-    if not isinstance(lengths, list) or any(
-            not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0
-            for v in lengths):
-        raise ConfigError("lengths_nm must be a list of positive numbers")
+    delta_k = _number(cfg, "coherence_delta_kelvin", "config", positive=True)
     mat = _material(cfg)
-    rows = [_derive_row(float(length), cfg, mat) for length in lengths]
-    _write_csv(out, "derive", cfg, ["L_nm", "J_K", "U_h_K", "U_w_eV", "tunnel_Hz",
-                                    "device_class", "renorm_exponent", "t_coh_s"], rows)
+    env = _environment(cfg)
+    try:
+        d_gate = control_oxide_thickness(cr, d_ox, mat.eps_gate, mat.eps_ox)
+    except ValueError as exc:
+        raise ConfigError(f"config.coupling_ratio is invalid: {exc}") from exc
+    exponent = decoherence.renormalization_exponent(env)
+    rows = []
+    for length in lengths:
+        geom = CellGeometry(length=length, width=length, height=height, d_ox=d_ox,
+                            d_gate=d_gate)
+        j_k, u_h_k, u_w, amplitude = _datasheet(geom, mat, v_cg)
+        device = classify(geom, TunnelBarrier.from_stack(geom, mat), threshold)
+        delta_hz = amplitude if delta_k is None else convert(delta_k, "K", "Hz")
+        t_coh = decoherence.coherence_time(delta_hz, env.alpha) if delta_hz > 0 else float("inf")
+        rows.append((length, j_k, u_h_k, u_w, amplitude, device.value, exponent, t_coh))
+    _write_csv(out, "derive", cfg, ["L_nm", *_DATASHEET_COLUMNS, "device_class",
+                                    "renorm_exponent", "t_coh_s"], rows)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- sweep
 
-_SWEEP_PARAMS = ("L", "d_ox", "Z_FG", "V_CG", "V_CG1-parabola")
+# Swept parameter -> (geometry key it sets, first CSV column).
+_SWEEP = {"L": ("length_nm", "L_nm"), "d_ox": ("tunnel_oxide_nm", "d_ox_nm"),
+          "Z_FG": ("height_nm", "z_fg_nm"), "V_CG": (None, "v_cg_V"),
+          "V_CG1-parabola": (None, "V_CG1_V")}
 
 
 def _sweep_grid(cfg: dict) -> np.ndarray:
-    rng = cfg.get("range")
-    if not isinstance(rng, dict):
-        raise ConfigError("missing required object 'range'")
-    _check_keys(rng, {"min", "max", "points"}, "range")
+    rng = _object(cfg, "range", "range", {"min", "max", "points"}, required=True)
     lo = _number(rng, "min", "range", required=True)
     hi = _number(rng, "max", "range", required=True)
-    pts = rng.get("points")
-    if not isinstance(pts, int) or isinstance(pts, bool) or pts < 2:
-        raise ConfigError("range.points must be an integer >= 2")
+    pts = _count(rng, "points", "range", required=True, minimum=2)
     if not lo < hi:
         raise ConfigError(f"range.min must be below range.max, got [{lo}, {hi}]")
     return np.linspace(lo, hi, pts)
 
 
-def _geometry_cfg(cfg: dict) -> dict:
-    geo = cfg.get("geometry")
-    if not isinstance(geo, dict):
-        raise ConfigError("missing required object 'geometry'")
-    return geo
-
-
-def _sweep_point(parameter: str, value: float, geo_cfg: dict, mat: MaterialStack,
-                 v_cg: float):
-    geo = dict(geo_cfg)
-    if parameter == "L":
-        geo["length_nm"] = value
-        geo.pop("width_nm", None)      # width tracks L in a size sweep
-        geo.pop("gap_nm", None)
-    elif parameter == "d_ox":
-        geo["tunnel_oxide_nm"] = value
-    elif parameter == "Z_FG":
-        geo["height_nm"] = value
-    geom = _geometry(geo, mat)
-    net = build_network(geom, mat, 3)
-    params = charging.ising_parameters(
-        charging.reduce_network(net, BiasSet.uniform(3)), 0.0)
-    barrier = TunnelBarrier.from_stack(geom, mat)
-    bias_v = value if parameter == "V_CG" else v_cg
-    amplitude = tunnel_amplitude(geom, barrier, bias_v)
-    if parameter == "V_CG":
-        return (value, amplitude)
-    return (value, convert(params.j[0], "eV", "K"), convert(params.u_h, "eV", "K"),
-            params.u_w, amplitude)
-
-
-def cmd_sweep(cfg: dict, out: str | None, threads: int) -> int:
-    _check_keys(cfg, {"schema_version", "parameter", "range", "geometry", "material",
-                      "v_cg", "n_values", "cell", "v_gate2", "v_sub", "tie_third"},
-                "config")
+def cmd_sweep(cfg: dict, out: str | None) -> int:
+    _check_keys(cfg, {"schema_version", "parameter", "range", "geometry", "material", "v_cg",
+                      "n_values", "cell", "v_gate2", "v_sub", "tie_third"}, "config")
     parameter = cfg.get("parameter")
-    if parameter not in _SWEEP_PARAMS:
-        raise ConfigError(f"parameter must be one of {_SWEEP_PARAMS}, got {parameter!r}")
+    if parameter not in _SWEEP:
+        raise ConfigError(f"parameter must be one of {tuple(_SWEEP)}, got {parameter!r}")
     grid = _sweep_grid(cfg)
     mat = _material(cfg)
-    geo_cfg = _geometry_cfg(cfg)
+    geo_cfg = _object(cfg, "geometry", "geometry", required=True)
+    key, column = _SWEEP[parameter]
 
     if parameter == "V_CG1-parabola":
-        geom = _geometry(geo_cfg, mat)
-        net = build_network(geom, mat, 3)
-        n_values = cfg.get("n_values", [-2, -1, 0, 1, 2])
-        if (not isinstance(n_values, list) or not n_values
-                or any(not isinstance(v, int) or isinstance(v, bool) for v in n_values)):
-            raise ConfigError("n_values must be a non-empty list of integers")
-        cell = cfg.get("cell", 1)
-        if cell not in (1, 2, 3):
-            raise ConfigError("cell must be 1, 2 or 3")
+        n_values = _numbers(cfg, "n_values", "config", [-2, -1, 0, 1, 2], scalar=False)
+        if not n_values or not all(n.is_integer() for n in n_values):
+            raise ConfigError(f"config.n_values must be a non-empty list of integers, "
+                              f"got {cfg['n_values']!r}")
+        n_values = [int(n) for n in n_values]
+        cell = _count(cfg, "cell", "config", 1)
+        if cell > 3:
+            raise ConfigError(f"config.cell must be 1, 2 or 3, got {cell}")
+        tie_third = cfg.get("tie_third", True)
+        if not isinstance(tie_third, bool):
+            raise ConfigError(f"config.tie_third must be true or false, got {tie_third!r}")
         v_grid, curves = charging.parabola_family(
-            net, grid, n_values, cell=cell - 1,
+            build_network(_geometry(geo_cfg, mat), mat, 3), grid, n_values, cell=cell - 1,
             v_gate2=_number(cfg, "v_gate2", "config", 0.0),
-            v_sub=_number(cfg, "v_sub", "config", 0.0),
-            tie_third=bool(cfg.get("tie_third", True)))
+            v_sub=_number(cfg, "v_sub", "config", 0.0), tie_third=tie_third)
         rows = [(v, n, curves[n][k]) for k, v in enumerate(v_grid) for n in n_values]
-        _write_csv(out, "sweep", cfg, ["V_CG1_V", "n", "U_eV"], rows)
+        _write_csv(out, "sweep", cfg, [column, "n", "U_eV"], rows)
         return EXIT_OK
 
+    keep = slice(3, 4) if parameter == "V_CG" else slice(0, 4)   # V_CG: amplitude only
     v_cg = _number(cfg, "v_cg", "config", 0.0)
-    work = [(parameter, float(v), geo_cfg, mat, v_cg) for v in grid]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda args: _sweep_point(*args), work))
-    else:
-        rows = [_sweep_point(*args) for args in work]
-    name = {"L": "L_nm", "d_ox": "d_ox_nm", "Z_FG": "z_fg_nm", "V_CG": "v_cg_V"}[parameter]
-    if parameter == "V_CG":
-        columns = [name, "tunnel_Hz"]
-    else:
-        columns = [name, "J_K", "U_h_K", "U_w_eV", "tunnel_Hz"]
-    _write_csv(out, "sweep", cfg, columns, rows)
+    base = dict(geo_cfg)
+    if parameter == "L":                # width and gap track L in a size sweep
+        base.pop("width_nm", None)
+        base.pop("gap_nm", None)
+    rows = []
+    for value in grid.tolist():
+        geom = _geometry(base if key is None else {**base, key: value}, mat)
+        sheet = _datasheet(geom, mat, value if parameter == "V_CG" else v_cg)
+        rows.append((value, *sheet[keep]))
+    _write_csv(out, "sweep", cfg, [column, *_DATASHEET_COLUMNS[keep]], rows)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- anneal
 
 def _build_problem(cfg: dict) -> annealing.IsingModel:
-    prob = cfg.get("problem")
-    if not isinstance(prob, dict):
-        raise ConfigError("missing required object 'problem'")
+    prob = _object(cfg, "problem", "problem", required=True)
     kind = prob.get("kind")
+    if kind in ("grid", "fg_grid"):
+        rows = _count(prob, "rows", "problem", required=True)
+        cols = _count(prob, "cols", "problem", required=True)
+        if rows * cols > annealing.MAX_SITES:
+            raise ConfigError(f"problem.rows * problem.cols must be at most "
+                              f"{annealing.MAX_SITES} sites, got {rows * cols}")
     if kind == "chain":
         _check_keys(prob, {"kind", "h", "j"}, "problem")
-        return annealing.chain_model(_numbers(prob, "h", "problem", [], scalar=False),
-                                     _numbers(prob, "j", "problem", [], scalar=True))
+        h = _numbers(prob, "h", "problem", [], scalar=False)
+        j = _numbers(prob, "j", "problem", [], scalar=True)
+        if not 1 <= len(h) <= annealing.MAX_SITES:
+            raise ConfigError(f"problem.h needs 1 to {annealing.MAX_SITES} sites, got {len(h)}")
+        if isinstance(j, list) and len(j) not in (1, len(h) - 1):
+            raise ConfigError(f"problem.j must be a number or a list of 1 or {len(h) - 1} "
+                              f"numbers, got {len(j)}")
+        return annealing.chain_model(h, j)
     if kind == "grid":
         _check_keys(prob, {"kind", "rows", "cols", "h", "j"}, "problem")
-        return annealing.grid_model(_count(prob, "rows", "problem", required=True),
-                                    _count(prob, "cols", "problem", required=True),
-                                    _numbers(prob, "h", "problem", 0.0, scalar=True),
-                                    _number(prob, "j", "problem", required=True))
+        h = _numbers(prob, "h", "problem", 0.0, scalar=True)
+        if isinstance(h, list) and len(h) != rows * cols:
+            raise ConfigError(f"problem.h must be a number or a list of {rows * cols} "
+                              f"numbers, got {len(h)}")
+        return annealing.grid_model(rows, cols, h, _number(prob, "j", "problem", required=True))
     if kind == "maxcut":
         _check_keys(prob, {"kind", "edges", "n_sites"}, "problem")
         edges = prob.get("edges")
@@ -386,21 +378,18 @@ def _build_problem(cfg: dict) -> annealing.IsingModel:
         _check_keys(prob, {"kind", "rows", "cols", "geometry", "material",
                            "v_cg", "n_g"}, "problem")
         mat = _material(prob, "problem.material")
-        geom = _geometry(prob.get("geometry"), mat, "problem.geometry")
+        geom = _geometry(_object(prob, "geometry", "problem.geometry", required=True), mat,
+                         "problem.geometry")
         return annealing.fg_grid_model(
-            geom, mat, BiasSet.uniform(3), _count(prob, "rows", "problem", required=True),
-            _count(prob, "cols", "problem", required=True),
+            geom, mat, BiasSet.uniform(3), rows, cols,
             n_g=_number(prob, "n_g", "problem", 0.0),
             v_cg=_number(prob, "v_cg", "problem", 0.0))
     raise ConfigError(f"problem.kind must be chain, grid, maxcut or fg_grid, got {kind!r}")
 
 
 def _build_schedule(cfg: dict, model: annealing.IsingModel) -> annealing.Schedule:
-    sched = cfg.get("schedule", {})
-    if not isinstance(sched, dict):
-        raise ConfigError("schedule must be an object")
-    _check_keys(sched, {"delta0_ev", "profile", "t_total", "steps", "floor_ratio",
-                        "time_unit"}, "schedule")
+    sched = _object(cfg, "schedule", "schedule", {"delta0_ev", "profile", "t_total", "steps",
+                                                  "floor_ratio", "time_unit"})
     delta0 = _number(sched, "delta0_ev", "schedule", model.delta0)
     if delta0 is None:
         raise ConfigError("schedule.delta0_ev is required for this problem kind")
@@ -417,7 +406,7 @@ def _build_schedule(cfg: dict, model: annealing.IsingModel) -> annealing.Schedul
         raise ConfigError(f"invalid schedule: {exc}") from exc
 
 
-def cmd_anneal(cfg: dict, out: str | None, seed: int, threads: int) -> int:
+def cmd_anneal(cfg: dict, out: str | None, seed: int) -> int:
     _check_keys(cfg, {"schema_version", "problem", "schedule", "shots"}, "config")
     model = _build_problem(cfg)
     schedule = _build_schedule(cfg, model)
@@ -463,14 +452,11 @@ def cmd_decohere(cfg: dict, out: str | None) -> int:
     _check_keys(cfg, {"schema_version", "environment", "delta_kelvin", "time_points",
                       "max_time_factor"}, "config")
     env = _environment(cfg)
-    deltas_k = cfg.get("delta_kelvin", [10.0, 100.0])
-    if not isinstance(deltas_k, list) or not deltas_k or any(
-            not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0
-            for v in deltas_k):
-        raise ConfigError("delta_kelvin must be a non-empty list of positive numbers")
-    points = cfg.get("time_points", 200)
-    if not isinstance(points, int) or isinstance(points, bool) or points < 2:
-        raise ConfigError("time_points must be an integer >= 2")
+    deltas_k = _numbers(cfg, "delta_kelvin", "config", [10.0, 100.0], scalar=False,
+                        positive=True)
+    if not deltas_k:
+        raise ConfigError("config.delta_kelvin must not be empty")
+    points = _count(cfg, "time_points", "config", 200, minimum=2)
     factor = _number(cfg, "max_time_factor", "config", 3.0, positive=True)
 
     exponent = decoherence.renormalization_exponent(env)
@@ -478,16 +464,16 @@ def cmd_decohere(cfg: dict, out: str | None) -> int:
     print(f"ohmic alpha: {env.alpha!r}")
     rows = []
     for dk in deltas_k:
-        delta_hz = convert(float(dk), "K", "Hz")
+        delta_hz = convert(dk, "K", "Hz")
         t_coh = decoherence.coherence_time(delta_hz, env.alpha)
         rate = decoherence.superohmic_rate(delta_hz, env)
-        print(f"delta = {float(dk)!r} K = {delta_hz!r} Hz: "
+        print(f"delta = {dk!r} K = {delta_hz!r} Hz: "
               f"t_coh = {t_coh!r} s, superohmic rate at bare delta = {rate!r} 1/s, "
               f"dressed delta = {decoherence.renormalized_tunneling(delta_hz, env)!r} Hz")
         for t in np.linspace(0.0, factor * t_coh, points):
             pc = decoherence.p_coherent(t, delta_hz, env.alpha)
             pi = decoherence.p_incoherent(t, delta_hz, env.alpha)
-            rows.append((float(dk), t, pc, pi, pc + pi))
+            rows.append((dk, t, pc, pi, pc + pi))
     if out is not None:
         _write_csv(out, "decohere", cfg,
                    ["delta_K", "t_s", "p_coh", "p_inc", "p_total"], rows)
@@ -507,8 +493,8 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output CSV path (anneal: prefix)")
-        p.add_argument("--seed", type=int, default=0, help="measurement seed")
-        p.add_argument("--threads", type=int, default=1, help="sweep worker threads")
+        if name == "anneal":
+            p.add_argument("--seed", type=int, default=0, help="measurement seed")
     return parser
 
 
@@ -516,13 +502,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _load(args.config)
-        if args.command == "derive":
-            return cmd_derive(cfg, args.out, args.threads)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.out, args.threads)
         if args.command == "anneal":
-            return cmd_anneal(cfg, args.out, args.seed, args.threads)
-        return cmd_decohere(cfg, args.out)
+            return cmd_anneal(cfg, args.out, args.seed)
+        commands = {"derive": cmd_derive, "sweep": cmd_sweep, "decohere": cmd_decohere}
+        return commands[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,6 +11,7 @@ from fgqa.annealing import (
     brute_force_ground_state,
     chain_model,
     cut_value,
+    device_parameters,
     diagonal_energies,
     evolve,
     fg_grid_model,
@@ -25,6 +26,7 @@ from fgqa.annealing import _CHUNK_STEPS, _WALSH_MAX_SITES, _blocked_kernel, _wal
 from fgqa.cells import BiasSet, MaterialStack, cell_from_coupling_ratio
 from fgqa.charging import ising_parameters, reduce_network
 from fgqa.cells import build_network
+from fgqa.tunneling import TunnelBarrier, tunnel_amplitude
 
 
 def random_chain(seed):
@@ -186,6 +188,14 @@ class TestStepKernels:
         sched = Schedule(delta0=2.0, t_total=40.0, steps=800, profile="exponential")
         np.testing.assert_allclose(evolve(model, sched, record_every=300).psi,
                                    evolve(model, sched).psi, rtol=0, atol=1e-12)
+
+
+class TestChainModel:
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_one_coupling_applies_to_every_bond(self, n):
+        model = chain_model(np.zeros(n), [0.5])
+        assert model.couplings == tuple((i, i + 1, 0.5) for i in range(n - 1))
+        assert chain_model(np.zeros(n), 0.5).couplings == model.couplings
 
 
 class TestDiagonalEnergies:
@@ -454,6 +464,25 @@ class TestFgGridModel:
     def test_site_limit(self):
         with pytest.raises(ValueError):
             fg_grid_model(self.GEOM, self.MAT, BiasSet.uniform(3), 5, 5)
+
+    @pytest.mark.parametrize("bias, n_g, v_cg", [
+        (BiasSet.uniform(3), 0.0, None),
+        (BiasSet.uniform(3), 0.0, -1.7),
+        (BiasSet((0.2, -0.1, 0.3), 0.05, (0.0, 0.1, 0.0, -0.1)), 0.02, None),
+        (BiasSet.uniform(5, 0.3, -0.2, 0.1), -0.01, 0.4),
+    ])
+    def test_device_parameters_match_inline_chain(self, bias, n_g, v_cg):
+        # the network -> Ising -> tunnel chain fg_grid_model spelled out before
+        bias3 = bias if bias.m == 3 else BiasSet.uniform(3, bias.v_gate[0], bias.v_sub,
+                                                         bias.v_rail[0])
+        params = ising_parameters(reduce_network(build_network(self.GEOM, self.MAT, 3),
+                                                 bias3), n_g)
+        amplitude = tunnel_amplitude(self.GEOM, TunnelBarrier.from_stack(self.GEOM, self.MAT),
+                                     bias3.v_gate[0] if v_cg is None else v_cg)
+        assert device_parameters(self.GEOM, self.MAT, bias, n_g, v_cg) == (params, amplitude)
+        if bias == BiasSet.uniform(3):
+            assert device_parameters(self.GEOM, self.MAT, n_g=n_g, v_cg=v_cg) == \
+                (params, amplitude)
 
 
 class TestAdiabaticTrend:

@@ -140,6 +140,24 @@ class TestOracle:
         charges = solve_branch_charges(net, bias, n)
         np.testing.assert_allclose(charges.island_charge(), n * E, rtol=1e-9)
 
+    def test_branch_charges_with_missing_branches(self):
+        # gate-left of cell 1 and every rail branch are zero: their
+        # charges must stay exactly zero and must not shift the others
+        net = CapacitanceNetwork(
+            c_gate=np.full(3, 1e-18), c_sub=np.full(3, 2e-18),
+            c_fg=np.array([5e-19, 5e-19, 0.0]),
+            c_gate_left=np.array([0.0, 1e-19, 1e-19]),
+            c_gate_right=np.array([1e-19, 1e-19, 0.0]),
+            c_source=np.zeros(3), c_drain=np.zeros(3))
+        bias = BiasSet((0.3, 0.1, -0.2), v_sub=0.05)
+        n = np.array([1, 0, 2])
+        charges = solve_branch_charges(net, bias, n)
+        np.testing.assert_allclose(charges.island_charge() / E, n, rtol=0, atol=1e-12)
+        for name in ("c_gate", "c_sub", "c_fg", "c_gate_left", "c_gate_right",
+                     "c_source", "c_drain"):
+            absent = getattr(net, name) == 0.0
+            assert np.all(getattr(charges, "q" + name[1:])[absent] == 0.0), name
+
 
 class TestIsingParameters:
     def test_fields_vanish_at_degeneracy(self, rng):

@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +53,14 @@ class TestConfigHandling:
         assert main(["derive", "--config",
                      write_config(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [["sweep", "--threads", "4"],
+                                      ["decohere", "--seed", "1"]])
+    def test_removed_options_are_rejected(self, tmp_path, capsys, argv):
+        path = write_config(tmp_path, "c.json", {"schema_version": 1})
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--config", path, *argv[1:]])
+        assert exc.value.code == 2
+
 
 class TestDerive:
     def test_reference_gate_windows(self, tmp_path):
@@ -80,6 +90,22 @@ class TestDerive:
         lines = [ln for ln in capsys.readouterr().out.splitlines()
                  if ln and not ln.startswith("#")]
         assert len(lines) == 1  # column header only
+
+    @pytest.mark.parametrize("key, value", [
+        ("coupling_ratio", 1.5),
+        ("coherence_delta_kelvin", "hot"),
+        ("coherence_delta_kelvin", -4),
+        ("coherence_delta_kelvin", True),
+        ("lengths_nm", [5.0, -1.0]),
+        ("lengths_nm", [5.0, True]),
+        ("lengths_nm", [5.0, float("inf")]),
+        ("tunnel_oxide_nm", float("nan")),
+    ])
+    def test_bad_key_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = dict(DERIVE_CFG, **{key: value})
+        assert main(["derive", "--config",
+                     write_config(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
+        assert f"config.{key} " in capsys.readouterr().err
 
 
 SWEEP_GEOMETRY = {
@@ -134,17 +160,6 @@ class TestSweep:
         assert header == ["V_CG1_V", "n", "U_eV"]
         assert len(rows) == 22
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        cfg = {"schema_version": 1, "parameter": "L",
-               "range": {"min": 5.0, "max": 15.0, "points": 8},
-               "geometry": SWEEP_GEOMETRY}
-        path = write_config(tmp_path, "c.json", cfg)
-        out1, out4 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["sweep", "--config", path, "--out", str(out1)]) == EXIT_OK
-        assert main(["sweep", "--config", path, "--out", str(out4),
-                     "--threads", "4"]) == EXIT_OK
-        assert out1.read_bytes() == out4.read_bytes()
-
     def test_unwritable_output_path(self, tmp_path):
         cfg = {"schema_version": 1, "parameter": "Z_FG",
                "range": {"min": 10.0, "max": 100.0, "points": 2},
@@ -166,6 +181,28 @@ class TestSweep:
                "geometry": SWEEP_GEOMETRY}
         assert main(["sweep", "--config",
                      write_config(tmp_path, "c.json", cfg)]) == EXIT_PHYSICS
+
+    @pytest.mark.parametrize("key, value", [
+        ("range.points", 1),
+        ("range.points", True),
+        ("config.n_values", []),
+        ("config.n_values", [0, 0.5]),
+        ("config.n_values", "0"),
+        ("config.cell", True),
+        ("config.cell", 4),
+        ("config.cell", 0),
+        ("config.tie_third", "false"),
+        ("config.tie_third", 0),
+    ])
+    def test_bad_parabola_key_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = {"schema_version": 1, "parameter": "V_CG1-parabola",
+               "range": {"min": -0.5, "max": 0.5, "points": 11},
+               "geometry": SWEEP_GEOMETRY}
+        block, name = key.split(".")
+        (cfg["range"] if block == "range" else cfg)[name] = value
+        assert main(["sweep", "--config",
+                     write_config(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
+        assert f"{key} " in capsys.readouterr().err
 
 
 ANNEAL_CFG = {
@@ -217,12 +254,23 @@ class TestAnneal:
         ({"kind": "grid", "rows": 2.7, "cols": 2, "j": 1.0}, "rows"),
         ({"kind": "chain", "h": ["a"], "j": [1.0]}, "h"),
         ({"kind": "chain", "h": [0.1, 0.2], "j": None}, "j"),
+        ({"kind": "chain", "h": [0.1, 0.2, 0.3, 0.4], "j": [1.0, 2.0]}, "j"),
+        ({"kind": "grid", "rows": 5, "cols": 5, "j": 1.0}, "rows"),
+        ({"kind": "fg_grid", "rows": 5, "cols": 5, "geometry": SWEEP_GEOMETRY}, "rows"),
+        ({"kind": "chain", "h": [0.0] * 25, "j": 1.0}, "h"),
+        ({"kind": "grid", "rows": 2, "cols": 2, "h": [0.1, 0.2], "j": 1.0}, "h"),
     ])
     def test_malformed_problem_key_is_config_error(self, tmp_path, capsys, problem, key):
         cfg = dict(ANNEAL_CFG, problem=problem)
         assert main(["anneal", "--config",
                      write_config(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
         assert f"problem.{key} " in capsys.readouterr().err
+
+    def test_collapsed_device_barrier_is_physics_error(self, tmp_path):
+        cfg = dict(ANNEAL_CFG, problem={"kind": "fg_grid", "rows": 1, "cols": 3,
+                                        "geometry": SWEEP_GEOMETRY, "v_cg": -4.0})
+        assert main(["anneal", "--config",
+                     write_config(tmp_path, "c.json", cfg)]) == EXIT_PHYSICS
 
     def test_fg_grid_problem_runs(self, tmp_path, capsys):
         cfg = {
@@ -248,6 +296,20 @@ class TestDecohere:
         assert "renormalization exponent: 1323.39" in out
         assert "t_coh" in out
 
+    @pytest.mark.parametrize("key, value", [
+        ("delta_kelvin", []),
+        ("delta_kelvin", [10.0, -1.0]),
+        ("delta_kelvin", [10.0, "a"]),
+        ("time_points", 1),
+        ("time_points", 2.5),
+        ("time_points", True),
+    ])
+    def test_bad_key_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = dict(self.CFG, **{key: value})
+        assert main(["decohere", "--config",
+                     write_config(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
+        assert f"config.{key} " in capsys.readouterr().err
+
     def test_signal_csv(self, tmp_path, capsys):
         out = tmp_path / "pt.csv"
         assert main(["decohere", "--config", write_config(tmp_path, "c.json", self.CFG),
@@ -257,3 +319,24 @@ class TestDecohere:
         assert len(rows) == 100
         first = rows[0]
         assert float(first[2]) == 1.0 and float(first[3]) == 0.0
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_configs():
+    """(subcommand, config) of every json block under a ### `cmd` heading."""
+    found, command = [], None
+    pattern = r"^### `(\w+)`|^```json\n(.*?)^```"
+    for m in re.finditer(pattern, README.read_text(), flags=re.M | re.S):
+        if m.group(1):
+            command = m.group(1)
+        else:
+            found.append((command, json.loads(m.group(2))))
+    return found
+
+
+@pytest.mark.parametrize("command, cfg", readme_configs())
+def test_readme_configs_run(tmp_path, capsys, command, cfg):
+    assert main([command, "--config", write_config(tmp_path, "c.json", cfg),
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
