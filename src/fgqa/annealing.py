@@ -46,7 +46,7 @@ import numpy as np
 
 from .cells import BiasSet, CapacitanceNetwork, CellGeometry, MaterialStack, build_network
 from .charging import IsingParameters, ising_parameters, reduce_network
-from .constants import CONST
+from .constants import CONST, float_or_array
 from .tunneling import TunnelBarrier, tunnel_amplitude
 
 __all__ = [
@@ -143,7 +143,7 @@ class Schedule:
             d = self.delta0 * (1.0 - x)
         else:
             d = self.delta0 * self.floor_ratio**x
-        return float(d) if d.ndim == 0 else d
+        return float_or_array(d)
 
     @property
     def phase_scale(self) -> float:
@@ -536,13 +536,15 @@ def success_probability(model: IsingModel, psi: np.ndarray) -> float:
 
 
 def device_parameters(geom: CellGeometry, mat: MaterialStack, bias: BiasSet | None = None,
-                      n_g: float = 0.0,
-                      v_cg: float | None = None) -> tuple[IsingParameters, float]:
-    """Three-cell Ising terms and WKB tunnel amplitude (Hz) of one cell geometry.
+                      n_g: float = 0.0, v_cg=None) -> tuple[IsingParameters, float]:
+    """Three-cell Ising terms and WKB tunnel amplitude (Hz) of a cell geometry.
 
     ``bias`` defaults to zero volts; one of another row length lends its
     first gate, substrate and rail voltages to all three cells.  ``v_cg``
-    defaults to the first gate bias.
+    defaults to the first gate bias.  The geometry fields and ``v_cg`` may
+    be arrays (the points of a sweep): the network, its reduction, the
+    Ising terms and the amplitude are then evaluated for every point in
+    one pass, and each result is an array over the points.
     """
     if bias is None:
         bias = BiasSet.uniform(3)

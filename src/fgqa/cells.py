@@ -23,16 +23,19 @@ and ``x_rail = sqrt((L/2)^2 + d_ox^2)``.  Out-of-range branches of the
 end cells (``c_fg`` and ``c_gate_right`` of the last cell,
 ``c_gate_left`` of the first) are exactly zero.  Fringe fields and
 bias-dependent depletion are not modelled.
+
+The geometry fields may be numpy arrays (the points of a sweep); every
+capacitance array then has the cell index as its first axis and the
+points on the trailing axes, so one network holds a whole sweep.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import CONST
+from .constants import CONST, float_or_array
 
 __all__ = [
     "CellGeometry",
@@ -53,7 +56,9 @@ class CellGeometry:
     """Dimensions of one floating-gate cell, all in nanometres.
 
     ``gap`` is the FG-to-FG spacing along the row and defaults to the
-    cell length, the usual layout pitch of dense arrays.
+    cell length, the usual layout pitch of dense arrays.  Any field may
+    be an array; the fields broadcast against each other, one cell
+    geometry per element.
     """
 
     length: float                 # L, along the row
@@ -68,18 +73,22 @@ class CellGeometry:
             object.__setattr__(self, "gap", self.length)
         for name in ("length", "width", "height", "d_ox", "d_gate", "gap"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and v > 0.0 and math.isfinite(v)):
+            if not isinstance(v, (int, float, np.ndarray)):
                 raise ValueError(f"CellGeometry.{name} must be positive and finite, got {v!r}")
+            bad = ~((np.asarray(v) > 0.0) & np.isfinite(v))
+            if bad.any():
+                raise ValueError(f"CellGeometry.{name} must be positive and finite, "
+                                 f"got {np.asarray(v)[bad][0].item()!r}")
 
     @property
-    def x_gate(self) -> float:
+    def x_gate(self):
         """Diagonal distance from an FG sidewall to a neighbouring CG (nm)."""
-        return math.hypot(self.length / 2.0, self.d_gate)
+        return float_or_array(np.hypot(self.length / 2.0, self.d_gate))
 
     @property
-    def x_rail(self) -> float:
+    def x_rail(self):
         """Diagonal distance from an FG sidewall to a source/drain rail (nm)."""
-        return math.hypot(self.length / 2.0, self.d_ox)
+        return float_or_array(np.hypot(self.length / 2.0, self.d_ox))
 
     @property
     def volume_nm3(self) -> float:
@@ -144,7 +153,11 @@ class BiasSet:
 
 @dataclass(frozen=True, eq=False)
 class CapacitanceNetwork:
-    """Branch capacitances (F) of an M-cell row; see the module docstring."""
+    """Branch capacitances (F) of an M-cell row; see the module docstring.
+
+    Every array is indexed by cell first; trailing axes, all of one
+    shape, index independent rows (the points of a sweep).
+    """
 
     c_gate: np.ndarray
     c_sub: np.ndarray
@@ -158,17 +171,17 @@ class CapacitanceNetwork:
         arrays = {name: np.asarray(getattr(self, name), dtype=float)
                   for name in ("c_gate", "c_sub", "c_fg", "c_gate_left",
                                "c_gate_right", "c_source", "c_drain")}
-        m = arrays["c_gate"].shape[0]
+        shape = arrays["c_gate"].shape
         for name, arr in arrays.items():
-            if arr.shape != (m,):
-                raise ValueError(f"{name} must have shape ({m},), got {arr.shape}")
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be non-negative and finite")
             object.__setattr__(self, name, arr)
-        if self.c_fg[m - 1] != 0.0 or self.c_gate_right[m - 1] != 0.0:
+        if np.any(self.c_fg[-1] != 0.0) or np.any(self.c_gate_right[-1] != 0.0):
             raise ValueError("last cell has no right-hand neighbour; its c_fg and "
                              "c_gate_right must be zero")
-        if self.c_gate_left[0] != 0.0:
+        if np.any(self.c_gate_left[0] != 0.0):
             raise ValueError("first cell has no left-hand neighbour; its c_gate_left "
                              "must be zero")
 
@@ -223,7 +236,8 @@ def build_network(geom: CellGeometry, mat: MaterialStack, m: int) -> Capacitance
     """Parallel-plate capacitance network for a uniform row of ``m`` cells.
 
     Deterministic and independent of any applied bias; boundary branches
-    of the end cells are zeroed.
+    of the end cells are zeroed.  An array-valued geometry gives arrays
+    of shape ``(m,) + points``.
     """
     if m < 1:
         raise ValueError(f"cell count must be >= 1, got {m}")
@@ -234,17 +248,20 @@ def build_network(geom: CellGeometry, mat: MaterialStack, m: int) -> Capacitance
     diag_gate = mat.eps_ox * (area / 2.0) / geom.x_gate
     diag_rail = mat.eps_ox * (area / 2.0) / geom.x_rail
 
+    gate, sub, fg, diag_gate, diag_rail = np.broadcast_arrays(gate, sub, fg, diag_gate,
+                                                              diag_rail)
     ones = np.ones(m)
     inner_right = np.where(np.arange(m) < m - 1, 1.0, 0.0)
     inner_left = np.where(np.arange(m) > 0, 1.0, 0.0)
+    row = np.multiply.outer           # (m,) cell mask times the per-point value
     return CapacitanceNetwork(
-        c_gate=gate * ones,
-        c_sub=sub * ones,
-        c_fg=fg * inner_right,
-        c_gate_left=diag_gate * inner_left,
-        c_gate_right=diag_gate * inner_right,
-        c_source=diag_rail * ones,
-        c_drain=diag_rail * ones,
+        c_gate=row(ones, gate),
+        c_sub=row(ones, sub),
+        c_fg=row(inner_right, fg),
+        c_gate_left=row(inner_left, diag_gate),
+        c_gate_right=row(inner_right, diag_gate),
+        c_source=row(ones, diag_rail),
+        c_drain=row(ones, diag_rail),
     )
 
 

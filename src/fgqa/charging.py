@@ -31,6 +31,13 @@ that two-state space yields longitudinal fields ``h_i``, couplings
 
 computed by :func:`ising_parameters`.  The closed forms here cover
 exactly three cells; longer rows go through the numeric oracle.
+
+The closed forms index the cell axis only, so a network built from an
+array-valued geometry (cells first, sweep points on the trailing axes)
+is reduced and expanded for every point in one call, and
+:func:`parabola_family` reduces its network once and evaluates only the
+bias-dependent offset charge over the voltage grid.  The oracle takes
+one scalar network at a time.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import BiasSet, CapacitanceNetwork
-from .constants import CONST
+from .constants import CONST, float_or_array
 
 __all__ = [
     "ReducedChargingForm",
@@ -62,6 +69,8 @@ _E = CONST.electron_charge
 @dataclass(frozen=True, eq=False)
 class ReducedChargingForm:
     """Closed-form data of the three-cell charging energy.
+
+    Each array has the network's shape: cells first, then any points.
 
     c_eff     elimination pivots of the island capacitance matrix (F);
               positive for any physical network.
@@ -93,14 +102,15 @@ class IsingParameters:
     the longitudinal fields and couplings; ``const`` (eV) absorbs every
     occupation-independent term, so energy differences between charge
     states never depend on it.  ``u_h`` is the charging-energy height
-    (eV) and ``u_w`` the gate-voltage period (V) of the first cell.
+    (eV) and ``u_w`` the gate-voltage period (V) of the first cell.  Each
+    is a float, or an array over the points of an array-valued network.
     """
 
-    h: tuple[float, float, float]
-    j: tuple[float, float]
-    const: float
-    u_h: float
-    u_w: float
+    h: tuple
+    j: tuple
+    const: float | np.ndarray
+    u_h: float | np.ndarray
+    u_w: float | np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,19 +135,36 @@ class BranchCharges:
         return q
 
 
-def _offsets(net: CapacitanceNetwork, bias: BiasSet) -> tuple[np.ndarray, np.ndarray]:
-    """Per-island bias offset charge (C) and quadratic bias term (J)."""
+def _cells_first(a, ndim: int) -> np.ndarray:
+    """``a`` padded with trailing unit axes to ``ndim`` axes, so that arrays
+    indexed by cell (or rail) first broadcast over their trailing axes."""
+    a = np.asarray(a, dtype=float)
+    return a.reshape(a.shape + (1,) * (ndim - a.ndim))
+
+
+def _offsets(net: CapacitanceNetwork, v_gate, v_sub,
+             v_rail) -> tuple[np.ndarray, np.ndarray]:
+    """Per-island bias offset charge (C) and quadratic bias term (J).
+
+    ``v_gate`` (per cell) and ``v_rail`` (per rail) may carry trailing
+    point axes, as may the network; the two broadcast against each other.
+    """
     m = net.m
-    vg = np.asarray(bias.v_gate)
-    vr = np.asarray(bias.v_rail)
-    vg_left = np.r_[0.0, vg[:m - 1]]
-    vg_right = np.r_[vg[1:], 0.0]
-    q = (net.c_gate * vg + net.c_sub * bias.v_sub
-         + net.c_gate_left * vg_left + net.c_gate_right * vg_right
-         + net.c_source * vr[:m] + net.c_drain * vr[1:])
-    w = (net.c_gate * vg**2 + net.c_sub * bias.v_sub**2
-         + net.c_gate_left * vg_left**2 + net.c_gate_right * vg_right**2
-         + net.c_source * vr[:m]**2 + net.c_drain * vr[1:]**2)
+    nd = max(net.c_gate.ndim, np.ndim(v_gate), np.ndim(v_rail))
+    c_gate, c_sub, c_left, c_right, c_source, c_drain = (
+        _cells_first(c, nd) for c in (net.c_gate, net.c_sub, net.c_gate_left,
+                                      net.c_gate_right, net.c_source, net.c_drain))
+    vg = _cells_first(v_gate, nd)
+    vr = _cells_first(v_rail, nd)
+    zero = np.zeros_like(vg[:1])
+    vg_left = np.concatenate((zero, vg[:m - 1]))
+    vg_right = np.concatenate((vg[1:], zero))
+    q = (c_gate * vg + c_sub * v_sub
+         + c_left * vg_left + c_right * vg_right
+         + c_source * vr[:m] + c_drain * vr[1:])
+    w = (c_gate * vg**2 + c_sub * v_sub**2
+         + c_left * vg_left**2 + c_right * vg_right**2
+         + c_source * vr[:m]**2 + c_drain * vr[1:]**2)
     return q, w
 
 
@@ -159,13 +186,13 @@ def reduce_network(net: CapacitanceNetwork, bias: BiasSet) -> ReducedChargingFor
         raise ValueError("bias and network cell counts differ")
     sigma = (net.c_gate + net.c_sub + net.c_fg + net.c_gate_left
              + net.c_gate_right + net.c_source + net.c_drain)
-    c_eff = np.empty(3)
+    c_eff = np.empty_like(sigma)
     c_eff[0] = sigma[0]
     for i in (1, 2):
-        if c_eff[i - 1] <= 0.0:
+        if np.any(c_eff[i - 1] <= 0.0):
             raise ValueError("non-physical network: elimination pivot is not positive")
         c_eff[i] = sigma[i] + net.c_fg[i - 1] - net.c_fg[i - 1]**2 / c_eff[i - 1]
-    q_offset, w_bias = _offsets(net, bias)
+    q_offset, w_bias = _offsets(net, bias.v_gate, bias.v_sub, bias.v_rail)
     return ReducedChargingForm(c_eff=c_eff, q_offset=q_offset, w_bias=w_bias,
                                network=net)
 
@@ -277,7 +304,8 @@ def ising_parameters(form: ReducedChargingForm, n_g) -> IsingParameters:
 
     and the fields keep the second-order closed form, whose
     neighbour terms for the interior cell carry the denominator
-    c_eff_i * c_eff_{i+1} of the downstream pair.
+    c_eff_i * c_eff_{i+1} of the downstream pair.  For an array-valued
+    form every coefficient is an array over its points.
     """
     g = np.asarray(n_g, dtype=float)
     if g.shape == ():
@@ -285,6 +313,7 @@ def ising_parameters(form: ReducedChargingForm, n_g) -> IsingParameters:
     if g.shape != (3,):
         raise ValueError(f"expected 3 gate coordinates, got shape {g.shape}")
     d = form.c_eff
+    g = _cells_first(g, d.ndim)
     c_fg = form.network.c_fg
     r0 = c_fg[0]**2 / (d[0] * d[1])
     r1 = c_fg[1]**2 / (d[1] * d[2])
@@ -297,14 +326,15 @@ def ising_parameters(form: ReducedChargingForm, n_g) -> IsingParameters:
          a[2] * g[2] + _E * c_fg[1] * g[1] / (2.0 * d[1] * d[2]))
     j = (_E * c_fg[0] / (4.0 * d[0] * d[1]),
          _E * c_fg[1] / (4.0 * d[1] * d[2]))
-    const = float(np.sum(a * (g**2 + 0.25)) - np.sum(form.w_bias) / (2.0 * _E)
-                  + _E * c_fg[0] * g[0] * g[1] / (d[0] * d[1])
-                  + _E * c_fg[1] * g[1] * g[2] / (d[1] * d[2]))
+    const = (np.sum(a * (g**2 + 0.25), axis=0) - np.sum(form.w_bias, axis=0) / (2.0 * _E)
+             + _E * c_fg[0] * g[0] * g[1] / (d[0] * d[1])
+             + _E * c_fg[1] * g[1] * g[2] / (d[1] * d[2]))
     u_h = _E / (8.0 * d[0]) * (1.0 + r0)
     u_w = _E / form.network.c_gate[0]
-    return IsingParameters(h=tuple(float(x) for x in h),
-                           j=(float(j[0]), float(j[1])),
-                           const=const, u_h=float(u_h), u_w=float(u_w))
+    return IsingParameters(h=tuple(float_or_array(x) for x in h),
+                           j=tuple(float_or_array(x) for x in j),
+                           const=float_or_array(const), u_h=float_or_array(u_h),
+                           u_w=float_or_array(u_w))
 
 
 def _sweep_bias(net: CapacitanceNetwork, v: float, v_gate2: float, v_sub: float,
@@ -324,6 +354,8 @@ def parabola_family(net: CapacitanceNetwork, v_gate_values, n_values,
     cross exactly once per gate-voltage period; the crossings sit at
     n_G = 0 and are spaced by U_w.  The third gate tracks the swept one
     by default (``tie_third``), matching the usual symmetric drive.
+    The pivots do not depend on the bias, so the network is reduced once
+    and only the offset charge is evaluated over the voltage grid.
 
     Returns ``(v_grid, {n: energies_eV})``.
     """
@@ -333,19 +365,16 @@ def parabola_family(net: CapacitanceNetwork, v_gate_values, n_values,
         raise ValueError("empty sweep range")
     if not 0 <= cell < 3:
         raise ValueError("cell index must be 0, 1 or 2")
-    curves = {n: np.empty(v_grid.size) for n in n_list}
-    for k, v in enumerate(v_grid):
-        form = reduce_network(net, _sweep_bias(net, v, v_gate2, v_sub, tie_third, v_rail))
-        d = form.c_eff
-        c_fg = net.c_fg
-        if cell < 2:
-            a = _E / (2.0 * d[cell]) * (1.0 + c_fg[cell]**2 / (d[cell] * d[cell + 1]))
-        else:
-            a = _E / (2.0 * d[2])
-        nt0 = form.q_offset[cell] / _E
-        for n in n_list:
-            curves[n][k] = a * (n + nt0)**2
-    return v_grid, curves
+    d = reduce_network(net, _sweep_bias(net, 0.0, v_gate2, v_sub, tie_third, v_rail)).c_eff
+    c_fg = net.c_fg
+    if cell < 2:
+        a = _E / (2.0 * d[cell]) * (1.0 + c_fg[cell]**2 / (d[cell] * d[cell + 1]))
+    else:
+        a = _E / (2.0 * d[2])
+    v2 = np.full_like(v_grid, v_gate2)
+    v_gate = np.stack((v_grid, v2, v_grid if tie_third else v2))
+    nt0 = _offsets(net, v_gate, v_sub, np.full(net.m + 1, v_rail))[0][cell] / _E
+    return v_grid, {n: a * (n + nt0)**2 for n in n_list}
 
 
 def parabola_crossings(net: CapacitanceNetwork, n_values, cell: int = 0,

@@ -12,14 +12,20 @@ Every CSV starts with a commented header recording the subcommand, the
 SHA-256 of the canonical config, and the column names, so outputs are
 reproducible byte for byte.  Exit codes: 0 success, 2 configuration
 error, 3 physics/numerics precondition failure.
+
+Each command evaluates its formulas once, on arrays: ``sweep`` passes its
+whole grid as one array-valued geometry (or gate voltage) to
+:func:`fgqa.annealing.device_parameters`, ``derive`` does the same with
+its list of lengths, the parabola sweep is one
+:func:`fgqa.charging.parabola_family` call, and ``decohere`` evaluates
+the time traces of all its deltas in one call per signal part.  CSVs
+are written column by column.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import math
 import sys
@@ -50,7 +56,7 @@ class ConfigError(Exception):
 def parse_config(text: str) -> dict:
     try:
         cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:           # also integers beyond the digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -86,11 +92,18 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
 
 def _number(obj: dict, key: str, where: str, default=None, required=False,
             positive=False):
+    """A number; a sweep grid (an array) under ``key`` is checked point by
+    point and returned as it is."""
     if key not in obj:
         if required:
             raise ConfigError(f"missing required key {key!r} in {where}")
         return default
     v = obj[key]
+    if isinstance(v, np.ndarray):
+        bad = ~np.isfinite(v) | (positive & (v <= 0))
+        if not bad.any():
+            return v
+        v = v[bad][0].item()            # the first point the checks below reject
     if not _is_number(v):
         raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
     if positive and v <= 0:
@@ -99,9 +112,14 @@ def _number(obj: dict, key: str, where: str, default=None, required=False,
 
 
 def _is_number(v, positive=False) -> bool:
-    """Not a bool, NaN or Infinity (json.loads accepts the last two)."""
-    return (isinstance(v, int) and not isinstance(v, bool)
-            or isinstance(v, float) and math.isfinite(v)) and (v > 0 or not positive)
+    """Not a bool, NaN, Infinity (json.loads accepts the last two) or an
+    integer beyond the float range."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(float(v)) and (v > 0 or not positive)
+    except OverflowError:
+        return False
 
 
 def _numbers(obj: dict, key: str, where: str, default, scalar: bool, positive=False):
@@ -209,17 +227,24 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _fields(column) -> list[str]:
+    """The CSV fields of one column (an array or any sequence)."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        return list(map(str, column.tolist()))      # str of a Python float is its repr
+    return list(map(_fmt, column))
+
+
 def _write_csv(path: str | None, command: str, cfg: dict, columns: list[str],
-               rows: list[tuple]) -> None:
-    buf = io.StringIO()
-    buf.write(f"# fgqa {command}\n")
-    buf.write(f"# config sha256: {config_hash(cfg)}\n")
-    buf.write(f"# columns: {','.join(columns)}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
-    text = buf.getvalue()
+               data: list) -> None:
+    """Write a CSV whose ``data`` holds one equal-length sequence per column.
+
+    Fields are not quoted: no column name or value of any command holds a
+    comma, a quote or a line break.
+    """
+    lines = [f"# fgqa {command}", f"# config sha256: {config_hash(cfg)}",
+             f"# columns: {','.join(columns)}", ",".join(columns),
+             *map(",".join, zip(*map(_fields, data)))]
+    text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -235,8 +260,9 @@ def _write_csv(path: str | None, command: str, cfg: dict, columns: list[str],
 _DATASHEET_COLUMNS = ["J_K", "U_h_K", "U_w_eV", "tunnel_Hz"]
 
 
-def _datasheet(geom: CellGeometry, mat: MaterialStack, v_cg: float) -> tuple[float, ...]:
-    """The ``_DATASHEET_COLUMNS`` of one cell geometry."""
+def _datasheet(geom: CellGeometry, mat: MaterialStack, v_cg) -> tuple:
+    """The ``_DATASHEET_COLUMNS`` of a cell geometry: floats, or arrays over
+    the points of an array-valued geometry or ``v_cg``."""
     params, amplitude = annealing.device_parameters(geom, mat, v_cg=v_cg)
     return convert(params.j[0], "eV", "K"), convert(params.u_h, "eV", "K"), params.u_w, amplitude
 
@@ -245,7 +271,8 @@ def cmd_derive(cfg: dict, out: str | None) -> int:
     _check_keys(cfg, {"schema_version", "lengths_nm", "tunnel_oxide_nm", "fg_height_nm",
                       "coupling_ratio", "material", "v_cg", "normally_on_threshold_hz",
                       "environment", "coherence_delta_kelvin"}, "config")
-    lengths = _numbers(cfg, "lengths_nm", "config", [], scalar=False, positive=True)
+    lengths = np.array(_numbers(cfg, "lengths_nm", "config", [], scalar=False,
+                                positive=True))
     height = _number(cfg, "fg_height_nm", "config", required=True, positive=True)
     d_ox = _number(cfg, "tunnel_oxide_nm", "config", required=True, positive=True)
     cr = _number(cfg, "coupling_ratio", "config", required=True)
@@ -259,17 +286,22 @@ def cmd_derive(cfg: dict, out: str | None) -> int:
     except ValueError as exc:
         raise ConfigError(f"config.coupling_ratio is invalid: {exc}") from exc
     exponent = decoherence.renormalization_exponent(env)
-    rows = []
-    for length in lengths:
-        geom = CellGeometry(length=length, width=length, height=height, d_ox=d_ox,
-                            d_gate=d_gate)
-        j_k, u_h_k, u_w, amplitude = _datasheet(geom, mat, v_cg)
-        device = classify(geom, TunnelBarrier.from_stack(geom, mat), threshold)
-        delta_hz = amplitude if delta_k is None else convert(delta_k, "K", "Hz")
-        t_coh = decoherence.coherence_time(delta_hz, env.alpha) if delta_hz > 0 else float("inf")
-        rows.append((length, j_k, u_h_k, u_w, amplitude, device.value, exponent, t_coh))
+    geom = CellGeometry(length=lengths, width=lengths, height=height, d_ox=d_ox,
+                        d_gate=d_gate)
+    sheet = _datasheet(geom, mat, v_cg)
+    devices = classify(geom, TunnelBarrier.from_stack(geom, mat), threshold)
+    if delta_k is None:
+        delta_hz = sheet[3]             # each length's own tunnel amplitude
+    else:
+        delta_hz = np.full(lengths.shape, convert(delta_k, "K", "Hz"))
+    t_coh = np.full(lengths.shape, math.inf)
+    tunnels = delta_hz > 0
+    if tunnels.any():
+        t_coh[tunnels] = decoherence.coherence_time(delta_hz[tunnels], env.alpha)
     _write_csv(out, "derive", cfg, ["L_nm", *_DATASHEET_COLUMNS, "device_class",
-                                    "renorm_exponent", "t_coh_s"], rows)
+                                    "renorm_exponent", "t_coh_s"],
+               [lengths, *sheet, [d.value for d in devices],
+                np.full(lengths.shape, exponent), t_coh])
     return EXIT_OK
 
 
@@ -318,8 +350,10 @@ def cmd_sweep(cfg: dict, out: str | None) -> int:
             build_network(_geometry(geo_cfg, mat), mat, 3), grid, n_values, cell=cell - 1,
             v_gate2=_number(cfg, "v_gate2", "config", 0.0),
             v_sub=_number(cfg, "v_sub", "config", 0.0), tie_third=tie_third)
-        rows = [(v, n, curves[n][k]) for k, v in enumerate(v_grid) for n in n_values]
-        _write_csv(out, "sweep", cfg, [column, "n", "U_eV"], rows)
+        k = len(n_values)           # one row per (voltage, n), n varying fastest
+        _write_csv(out, "sweep", cfg, [column, "n", "U_eV"],
+                   [np.repeat(v_grid, k), np.tile(n_values, v_grid.size),
+                    np.column_stack([curves[n] for n in n_values]).ravel()])
         return EXIT_OK
 
     keep = slice(3, 4) if parameter == "V_CG" else slice(0, 4)   # V_CG: amplitude only
@@ -328,12 +362,9 @@ def cmd_sweep(cfg: dict, out: str | None) -> int:
     if parameter == "L":                # width and gap track L in a size sweep
         base.pop("width_nm", None)
         base.pop("gap_nm", None)
-    rows = []
-    for value in grid.tolist():
-        geom = _geometry(base if key is None else {**base, key: value}, mat)
-        sheet = _datasheet(geom, mat, value if parameter == "V_CG" else v_cg)
-        rows.append((value, *sheet[keep]))
-    _write_csv(out, "sweep", cfg, [column, *_DATASHEET_COLUMNS[keep]], rows)
+    geom = _geometry(base if key is None else {**base, key: grid}, mat)
+    sheet = _datasheet(geom, mat, grid if parameter == "V_CG" else v_cg)
+    _write_csv(out, "sweep", cfg, [column, *_DATASHEET_COLUMNS[keep]], [grid, *sheet[keep]])
     return EXIT_OK
 
 
@@ -417,17 +448,17 @@ def cmd_anneal(cfg: dict, out: str | None, seed: int) -> int:
     histogram = annealing.measure(result.psi, shots, seed)
 
     diag = annealing.diagonal_energies(model)
-    hist_rows = []
-    for state, count in sorted(histogram.items(), key=lambda kv: (-kv[1], kv[0])):
-        idx = int(state[::-1], 2)
-        hist_rows.append((state, count, count / shots, float(diag[idx])))
-    trace_rows = list(zip(result.times, result.deltas, result.energies))
-
     if out is not None:
+        ranked = sorted(histogram.items(), key=lambda kv: (-kv[1], kv[0]))
+        states = [state for state, _ in ranked]
+        counts = np.array([count for _, count in ranked])
         _write_csv(f"{out}_histogram.csv", "anneal", cfg,
-                   ["state", "count", "frequency", "energy_eV"], hist_rows)
+                   ["state", "count", "frequency", "energy_eV"],
+                   [states, counts, counts / shots,
+                    diag[[int(state[::-1], 2) for state in states]]])
         _write_csv(f"{out}_trace.csv", "anneal", cfg,
-                   ["t", "delta_eV", "energy_eV"], trace_rows)
+                   ["t", "delta_eV", "energy_eV"],
+                   [result.times, result.deltas, result.energies])
 
     best_state, best_count = max(histogram.items(), key=lambda kv: (kv[1], kv[0]))
     best_energy = float(diag[int(best_state[::-1], 2)])
@@ -462,21 +493,21 @@ def cmd_decohere(cfg: dict, out: str | None) -> int:
     exponent = decoherence.renormalization_exponent(env)
     print(f"renormalization exponent: {exponent!r}")
     print(f"ohmic alpha: {env.alpha!r}")
-    rows = []
-    for dk in deltas_k:
-        delta_hz = convert(dk, "K", "Hz")
-        t_coh = decoherence.coherence_time(delta_hz, env.alpha)
+    deltas_hz = convert(np.array(deltas_k), "K", "Hz")
+    t_coh = decoherence.coherence_time(deltas_hz, env.alpha)
+    for dk, delta_hz, tc in zip(deltas_k, deltas_hz.tolist(), t_coh.tolist()):
         rate = decoherence.superohmic_rate(delta_hz, env)
         print(f"delta = {dk!r} K = {delta_hz!r} Hz: "
-              f"t_coh = {t_coh!r} s, superohmic rate at bare delta = {rate!r} 1/s, "
+              f"t_coh = {tc!r} s, superohmic rate at bare delta = {rate!r} 1/s, "
               f"dressed delta = {decoherence.renormalized_tunneling(delta_hz, env)!r} Hz")
-        for t in np.linspace(0.0, factor * t_coh, points):
-            pc = decoherence.p_coherent(t, delta_hz, env.alpha)
-            pi = decoherence.p_incoherent(t, delta_hz, env.alpha)
-            rows.append((dk, t, pc, pi, pc + pi))
+    # one row of times per delta, each from 0 to factor * t_coh of its delta
+    t = np.linspace(0.0, factor * t_coh, points, axis=1)
+    pc = decoherence.p_coherent(t, deltas_hz[:, None], env.alpha)
+    pi = decoherence.p_incoherent(t, deltas_hz[:, None], env.alpha)
     if out is not None:
-        _write_csv(out, "decohere", cfg,
-                   ["delta_K", "t_s", "p_coh", "p_inc", "p_total"], rows)
+        _write_csv(out, "decohere", cfg, ["delta_K", "t_s", "p_coh", "p_inc", "p_total"],
+                   [np.repeat(deltas_k, points), t.ravel(), pc.ravel(), pi.ravel(),
+                    (pc + pi).ravel()])
     return EXIT_OK
 
 

@@ -7,6 +7,10 @@ set of conversion factors; ``EV_PER_K`` and ``HZ_PER_EV`` are the
 rounded values conventional in the flash-memory literature rather than
 full-precision CODATA, so that derived device numbers match published
 figures digit for digit.
+
+The device formulas of the package take numpy arrays as well as
+scalars; :func:`float_or_array` gives their results back as a Python
+float when every input was a scalar.
 """
 
 from __future__ import annotations
@@ -14,11 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "Constants",
     "CONST",
     "convert",
     "fermi_energy",
+    "float_or_array",
 ]
 
 
@@ -50,8 +57,13 @@ _TO_EV = {
 }
 
 
-def convert(value: float, src: str, dst: str) -> float:
-    """Convert an energy-like scalar between eV, K, Hz and J.
+def float_or_array(x):
+    """``x`` as a Python float if it is a scalar or 0-d array, else unchanged."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def convert(value, src: str, dst: str):
+    """Convert an energy-like scalar or array between eV, K, Hz and J.
 
     Conversions are purely linear, so they distribute over sums and
     round-trip to better than 1e-12 relative.
@@ -59,15 +71,17 @@ def convert(value: float, src: str, dst: str) -> float:
     Raises
     ------
     ValueError
-        If either unit tag is unknown or the value is not finite.
+        If either unit tag is unknown or a value is not finite.
     """
     if src not in _TO_EV:
         raise ValueError(f"unknown energy unit {src!r}; expected one of {sorted(_TO_EV)}")
     if dst not in _TO_EV:
         raise ValueError(f"unknown energy unit {dst!r}; expected one of {sorted(_TO_EV)}")
-    if not math.isfinite(value):
-        raise ValueError(f"value must be finite, got {value!r}")
-    return value * _TO_EV[src] / _TO_EV[dst]
+    value = np.asarray(value, dtype=float)
+    finite = np.isfinite(value)
+    if not finite.all():
+        raise ValueError(f"value must be finite, got {value[~finite][0].item()!r}")
+    return float_or_array(value * _TO_EV[src] / _TO_EV[dst])
 
 
 def fermi_energy(doping_cm3: float, m_eff: float) -> float:

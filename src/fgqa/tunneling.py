@@ -14,7 +14,8 @@ in units of the vacuum electron mass.  The gate voltage acts through a
 rigid shift of the floating-gate Fermi level, E_F' = E_F - V_CG under
 the default polarity (negative gate bias raises the level and switches
 tunneling on); the equilibrium electron count N_L is set by the doping
-alone.
+alone.  The cell geometry, the oxide thickness and the gate voltage may
+be arrays (the points of a sweep); the amplitude is then an array too.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ import math
 from dataclasses import dataclass
 
 from .cells import CellGeometry, MaterialStack
-from .constants import CONST, fermi_energy
+import numpy as np
+
+from .constants import CONST, fermi_energy, float_or_array
 
 __all__ = [
     "BarrierCollapseError",
@@ -58,7 +61,7 @@ class TunnelBarrier:
     negative gate bias raise the level.
     """
 
-    d_ox: float                    # tunnel-oxide thickness, nm
+    d_ox: float | np.ndarray       # tunnel-oxide thickness, nm
     barrier_ev: float = 3.1        # barrier height V_ox, eV
     m_ox: float = 0.5              # barrier effective mass / m0
     m_si: float = 0.19             # silicon effective mass / m0
@@ -67,7 +70,7 @@ class TunnelBarrier:
     gate_polarity: float = -1.0
 
     def __post_init__(self):
-        if self.d_ox <= 0.0:
+        if np.any(np.less_equal(self.d_ox, 0.0)):
             raise ValueError("oxide thickness must be positive")
         if self.barrier_ev <= 0.0 or self.m_ox <= 0.0 or self.m_si <= 0.0:
             raise ValueError("barrier height and masses must be positive")
@@ -109,38 +112,41 @@ def participants(geom: CellGeometry, e_f_ev: float, m_eff: float = 0.19,
     return volume_m3 * k_f**3 / (3.0 * math.pi**2)
 
 
-def tunnel_amplitude(geom: CellGeometry, barrier: TunnelBarrier,
-                     v_cg: float = 0.0) -> float:
+def tunnel_amplitude(geom: CellGeometry, barrier: TunnelBarrier, v_cg=0.0):
     """WKB tunnel amplitude in Hz at gate voltage ``v_cg`` (V).
 
     Monotonically increasing as the shifted Fermi level E_F' rises, and
-    log-linear in the oxide thickness.
+    log-linear in the oxide thickness.  A float for scalar inputs, an
+    array when the geometry, the oxide or ``v_cg`` is one.
 
     Raises
     ------
     BarrierCollapseError
-        If E_F' reaches the barrier top (V_ox - E_F' <= 0).
+        If E_F' reaches the barrier top (V_ox - E_F' <= 0) at any point.
     """
     e_f = barrier.fermi_level_ev
-    e_f_shifted = e_f + barrier.gate_polarity * v_cg
+    e_f_shifted = e_f + barrier.gate_polarity * np.asarray(v_cg, dtype=float)
     headroom = barrier.barrier_ev - e_f_shifted
-    if headroom <= 0.0:
+    collapsed = headroom <= 0.0
+    if collapsed.any():
         raise BarrierCollapseError(
-            f"shifted Fermi level {e_f_shifted:.4g} eV is at or above the "
+            f"shifted Fermi level {e_f_shifted[collapsed][0]:.4g} eV is at or above the "
             f"barrier top {barrier.barrier_ev:.4g} eV; no evanescent barrier left")
     n_side = participants(geom, e_f, barrier.m_si, barrier.volume_scale)
     prefactor_ev = (n_side * n_side * CONST.rydberg_ev / barrier.m_si
                     * (math.pi * CONST.bohr_radius_nm / geom.length) ** 2)
-    exponent = -(barrier.d_ox / CONST.bohr_radius_nm) * math.sqrt(
+    exponent = -(barrier.d_ox / CONST.bohr_radius_nm) * np.sqrt(
         barrier.m_ox * headroom / CONST.rydberg_ev)
-    return prefactor_ev * math.exp(exponent) * CONST.hz_per_ev
+    return float_or_array(prefactor_ev * np.exp(exponent) * CONST.hz_per_ev)
 
 
-def classify(geom: CellGeometry, barrier: TunnelBarrier,
-             threshold_hz: float) -> DeviceClass:
-    """Normally-on if the zero-bias amplitude reaches ``threshold_hz``."""
+def classify(geom: CellGeometry, barrier: TunnelBarrier, threshold_hz: float):
+    """Normally-on if the zero-bias amplitude reaches ``threshold_hz``.
+
+    A :class:`DeviceClass`, or an object array of them for an
+    array-valued geometry or oxide.
+    """
     if threshold_hz <= 0.0:
         raise ValueError("threshold must be positive")
-    if tunnel_amplitude(geom, barrier, 0.0) >= threshold_hz:
-        return DeviceClass.NORMALLY_ON
-    return DeviceClass.NORMALLY_OFF
+    on = np.greater_equal(tunnel_amplitude(geom, barrier, 0.0), threshold_hz)
+    return np.array([DeviceClass.NORMALLY_OFF, DeviceClass.NORMALLY_ON])[on.astype(int)]

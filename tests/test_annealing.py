@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from fgqa.annealing import (
@@ -23,7 +24,7 @@ from fgqa.annealing import (
     success_probability,
 )
 from fgqa.annealing import _CHUNK_STEPS, _WALSH_MAX_SITES, _blocked_kernel, _walsh_kernel
-from fgqa.cells import BiasSet, MaterialStack, cell_from_coupling_ratio
+from fgqa.cells import BiasSet, CellGeometry, MaterialStack, cell_from_coupling_ratio
 from fgqa.charging import ising_parameters, reduce_network
 from fgqa.cells import build_network
 from fgqa.tunneling import TunnelBarrier, tunnel_amplitude
@@ -483,6 +484,50 @@ class TestFgGridModel:
         if bias == BiasSet.uniform(3):
             assert device_parameters(self.GEOM, self.MAT, n_g=n_g, v_cg=v_cg) == \
                 (params, amplitude)
+
+
+GEOMETRY_FIELDS = {"length": (3.0, 30.0), "width": (3.0, 30.0), "height": (5.0, 150.0),
+                   "d_ox": (1.5, 6.0), "d_gate": (2.0, 15.0), "gap": (3.0, 30.0)}
+
+
+class TestDeviceParametersOnArrays:
+    MATS = (MaterialStack(), MaterialStack(eps_ox=3.0e-20, eps_gate=6.0e-20, barrier_ev=3.0,
+                                           m_ox=0.42, m_si=0.26, doping_cm3=3e19))
+
+    @staticmethod
+    def flat(params, amplitude):
+        return [*params.h, *params.j, params.const, params.u_h, params.u_w, amplitude]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), points=st.integers(1, 7), mat=st.integers(0, 1),
+           v_gate=st.floats(-0.5, 0.5), n_g=st.floats(-0.05, 0.05))
+    def test_broadcast_matches_point_loop(self, data, points, mat, v_gate, n_g):
+        def column(lo, hi):
+            return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=points,
+                                               max_size=points)))
+        fields = {name: column(*bounds) for name, bounds in GEOMETRY_FIELDS.items()}
+        v_cg = column(-1.5, 1.5)
+        mat = self.MATS[mat]
+        bias = BiasSet((v_gate, 0.1, -v_gate), 0.05, (0.0, 0.02, -0.02, 0.0))
+        got = self.flat(*device_parameters(CellGeometry(**fields), mat, bias, n_g, v_cg))
+        for k in range(points):
+            geom = CellGeometry(**{name: float(v[k]) for name, v in fields.items()})
+            params = ising_parameters(reduce_network(build_network(geom, mat, 3), bias), n_g)
+            amplitude = tunnel_amplitude(geom, TunnelBarrier.from_stack(geom, mat),
+                                         float(v_cg[k]))
+            want = self.flat(params, amplitude)
+            assert all(type(w) is float for w in want)
+            np.testing.assert_allclose([g[k] for g in got], want, rtol=2e-15, atol=0.0)
+
+    def test_scalar_fields_broadcast_against_an_array(self):
+        heights = np.array([10.0, 55.0, 100.0])
+        geom = CellGeometry(length=10.0, width=10.0, height=heights, d_ox=3.5, d_gate=8.0)
+        params, amplitude = device_parameters(geom, MaterialStack())
+        for k, z in enumerate(heights):
+            one = CellGeometry(length=10.0, width=10.0, height=float(z), d_ox=3.5, d_gate=8.0)
+            p_k, a_k = device_parameters(one, MaterialStack())
+            assert params.u_w[k] == p_k.u_w and params.j[0][k] == p_k.j[0]
+            assert amplitude[k] == pytest.approx(a_k, rel=2e-15)
 
 
 class TestAdiabaticTrend:

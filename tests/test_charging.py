@@ -263,6 +263,23 @@ class TestParabolas:
             second = np.diff(u, 2)
             assert np.all(second > -1e-15)
 
+    @pytest.mark.parametrize("cell, tie_third", [(0, True), (1, False), (2, True)])
+    def test_matches_reduction_per_voltage(self, cell, tie_third):
+        # U_n(V) = A (n + q_offset(V)/e)^2 with the pivots and offsets of a
+        # reduction at every grid voltage
+        grid = np.linspace(-1.3, 0.9, 57)
+        _, curves = parabola_family(self.net, grid, [-1, 0, 2], cell=cell, v_gate2=0.2,
+                                    v_sub=-0.05, tie_third=tie_third, v_rail=0.1)
+        for k, v in enumerate(grid.tolist()):
+            bias = BiasSet((v, 0.2, v if tie_third else 0.2), -0.05, (0.1,) * 4)
+            form = reduce_network(self.net, bias)
+            d, c_fg = form.c_eff, self.net.c_fg
+            a = E / (2.0 * d[cell]) * (1.0 + (c_fg[cell]**2 / (d[cell] * d[cell + 1])
+                                             if cell < 2 else 0.0))
+            for n, u in curves.items():
+                assert u[k] == pytest.approx(a * (n + form.q_offset[cell] / E)**2,
+                                             rel=2e-15, abs=1e-300)
+
     def test_rejects_empty_ranges(self):
         with pytest.raises(ValueError):
             parabola_family(self.net, [], [0])

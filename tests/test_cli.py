@@ -1,11 +1,21 @@
 import csv
+import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fgqa.cli import EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, emit_config, main, parse_config
+from fgqa.cells import MaterialStack, build_network, cell_from_coupling_ratio
+from fgqa.charging import parabola_family
+from fgqa.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, _write_csv, emit_config, main,
+                      parse_config)
+from fgqa.constants import convert
+from fgqa.decoherence import PhononEnvironment, p_coherent, p_incoherent
 
 
 def write_config(tmp_path, name, cfg):
@@ -52,6 +62,30 @@ class TestConfigHandling:
         cfg = dict(DERIVE_CFG, tunnel_oxide_nm="thin")
         assert main(["derive", "--config",
                      write_config(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
+
+    def test_integer_beyond_digit_limit_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('{"schema_version": 1, "delta_kelvin": [' + "7" * 5000 + "]}")
+        assert main(["decohere", "--config", str(path)]) == EXIT_CONFIG
+        assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("derive", dict(DERIVE_CFG, lengths_nm=[5.0, 10**400]), "config.lengths_nm"),
+        ("sweep", {"schema_version": 1, "parameter": "L", "geometry": {
+            "length_nm": 10.0, "height_nm": 100.0, "tunnel_oxide_nm": 3.5,
+            "coupling_ratio": 0.3}, "range": {"min": 5, "max": 10**400, "points": 3}},
+         "range.max"),
+        ("anneal", {"schema_version": 1, "problem": {"kind": "chain", "h": [0.1, 0.2],
+                                                    "j": 0.5},
+                    "schedule": {"delta0_ev": 1.0, "t_total": 10**400}}, "schedule.t_total"),
+        ("decohere", {"schema_version": 1, "delta_kelvin": [10.0],
+                      "max_time_factor": 10**400}, "config.max_time_factor"),
+    ])
+    def test_integer_beyond_float_range_is_config_error(self, tmp_path, capsys, command,
+                                                        cfg, key):
+        assert main([command, "--config",
+                     write_config(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
+        assert f"{key} must be " in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["sweep", "--threads", "4"],
                                       ["decohere", "--seed", "1"]])
@@ -159,6 +193,12 @@ class TestSweep:
         header, rows = read_rows(out)
         assert header == ["V_CG1_V", "n", "U_eV"]
         assert len(rows) == 22
+        # one row per voltage and n, n varying fastest
+        grid, curves = parabola_family(build_network(
+            cell_from_coupling_ratio(10.0, 100.0, 3.5, 0.3), MaterialStack(), 3),
+            np.linspace(-0.5, 0.5, 11), [0, 1])
+        assert rows == [[repr(v), str(n), repr(float(curves[n][k]))]
+                        for k, v in enumerate(grid.tolist()) for n in (0, 1)]
 
     def test_unwritable_output_path(self, tmp_path):
         cfg = {"schema_version": 1, "parameter": "Z_FG",
@@ -181,6 +221,35 @@ class TestSweep:
                "geometry": SWEEP_GEOMETRY}
         assert main(["sweep", "--config",
                      write_config(tmp_path, "c.json", cfg)]) == EXIT_PHYSICS
+
+    @pytest.mark.parametrize("parameter, key, lo", [
+        ("L", "length_nm", -2.0),
+        ("L", "length_nm", 0.0),
+        ("d_ox", "tunnel_oxide_nm", -1.0),
+        ("Z_FG", "height_nm", -10.0),
+    ])
+    def test_non_positive_grid_point_names_geometry_key(self, tmp_path, capsys, parameter,
+                                                        key, lo):
+        cfg = {"schema_version": 1, "parameter": parameter,
+               "range": {"min": lo, "max": 5.0, "points": 7}, "geometry": SWEEP_GEOMETRY}
+        assert main(["sweep", "--config",
+                     write_config(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
+        assert f"geometry.{key} must be positive, got {lo}\n" in capsys.readouterr().err
+
+    def test_grid_crossing_barrier_collapse_is_physics_error(self, tmp_path, capsys):
+        cfg = {"schema_version": 1, "parameter": "V_CG",
+               "range": {"min": -3.0, "max": 0.0, "points": 51}, "geometry": SWEEP_GEOMETRY}
+        assert main(["sweep", "--config",
+                     write_config(tmp_path, "c.json", cfg)]) == EXIT_PHYSICS
+        assert "shifted Fermi level 3.413 eV" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("parameter", ["L", "Z_FG"])
+    def test_overflowing_capacitances_are_physics_error(self, tmp_path, parameter):
+        cfg = {"schema_version": 1, "parameter": parameter,
+               "range": {"min": 5.0, "max": 1e300, "points": 5}, "geometry": SWEEP_GEOMETRY}
+        with np.errstate(all="ignore"):
+            assert main(["sweep", "--config",
+                         write_config(tmp_path, "c.json", cfg)]) == EXIT_PHYSICS
 
     @pytest.mark.parametrize("key, value", [
         ("range.points", 1),
@@ -319,6 +388,13 @@ class TestDecohere:
         assert len(rows) == 100
         first = rows[0]
         assert float(first[2]) == 1.0 and float(first[3]) == 0.0
+        # rows run delta by delta, each through its own time trace
+        assert [float(r[0]) for r in rows] == [10.0] * 50 + [100.0] * 50
+        alpha = PhononEnvironment().alpha
+        for dk, t, pc, pi, total in (map(float, r) for r in rows):
+            delta = convert(dk, "K", "Hz")
+            assert (pc, pi) == (p_coherent(t, delta, alpha), p_incoherent(t, delta, alpha))
+            assert total == pc + pi
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -340,3 +416,61 @@ def readme_configs():
 def test_readme_configs_run(tmp_path, capsys, command, cfg):
     assert main([command, "--config", write_config(tmp_path, "c.json", cfg),
                  "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+def csv_writer_reference(columns, rows):
+    """What csv.writer wrote for the same rows, one field formatter per cell."""
+    def fmt(x):
+        return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([fmt(x) for x in row])
+    return buf.getvalue()
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    rows = [("0110", 3, 0.1, np.float64(1e-300), True),
+            ("normally-on", -7, 1e16, np.float64(-0.0), False),
+            ("x y", 10**20, float("inf"), np.float64(2.5e-5), np.int64(4)),
+            ("", 0, -123.456, np.float64(7.0), np.float32(0.1))]
+    columns = ["state", "count", "x", "y", "z"]
+    expected = csv_writer_reference(columns, rows)
+    as_lists = [list(col) for col in zip(*rows)]
+    as_arrays = [as_lists[0], np.array(as_lists[1], dtype=object), np.array(as_lists[2]),
+                 np.array(as_lists[3]), as_lists[4]]
+    for data in (as_lists, as_arrays):
+        path = tmp_path / "out.csv"
+        _write_csv(str(path), "test", {"schema_version": 1}, columns, data)
+        body = path.read_text().split("\n", 3)[3]
+        assert body == expected
+    floats = np.random.default_rng(3).standard_normal((40, 3)) * 1e-7
+    path = tmp_path / "floats.csv"
+    _write_csv(str(path), "test", {}, ["a", "b", "c"], list(floats.T))
+    assert path.read_text().split("\n", 3)[3] == csv_writer_reference(
+        ["a", "b", "c"], floats.tolist())
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_commands_do_not_import_scipy(tmp_path):
+    # importing scipy would add about 0.3 s and 25 MB to every command
+    configs = {"derive": DERIVE_CFG, "anneal": ANNEAL_CFG, "decohere": TestDecohere.CFG,
+               "sweep": {"schema_version": 1, "parameter": "d_ox",
+                         "range": {"min": 2.5, "max": 4.0, "points": 20},
+                         "geometry": SWEEP_GEOMETRY}}
+    for command, cfg in configs.items():
+        write_config(tmp_path, f"{command}.json", cfg)
+    script = (
+        "import sys\n"
+        "from fgqa.cli import main\n"
+        f"for command in {sorted(configs)!r}:\n"
+        "    assert main([command, '--config', command + '.json', '--out', command]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

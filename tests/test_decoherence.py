@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -164,3 +165,101 @@ class TestCoherenceTime:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             coherence_time(0.0, 7.05e-9)
+
+
+def scalar_cisi(y):
+    """The one-point ci/si evaluation the array version replaced: the same
+    power series and continued fraction on Python floats (math/cmath)."""
+    if y < 4.0:
+        y2 = y * y
+        c_sum, ck = 0.0, 1.0
+        for k in range(1, 48):
+            ck *= -y2 / ((2 * k - 1) * (2 * k))
+            c_sum += ck / (2 * k)
+            if abs(ck) < 1e-20:
+                break
+        s_sum, sk = 0.0, y
+        for k in range(0, 48):
+            s_sum += sk / (2 * k + 1)
+            sk *= -y2 / ((2 * k + 2) * (2 * k + 3))
+            if abs(sk) < 1e-20:
+                break
+        return 0.5772156649015328606 + math.log(y) + c_sum, s_sum - math.pi / 2.0
+    z = complex(0.0, y)
+    b = z + 1.0
+    c = 1.0 / 1e-300
+    d = 1.0 / b
+    f = d
+    for k in range(1, 200):
+        a = -float(k * k)
+        b = b + 2.0
+        d = 1.0 / (b + a * d)
+        c = b + a / c
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) < 1e-16:
+            break
+    e1 = cmath.exp(-z) * f
+    return -e1.real, e1.imag
+
+
+class TestArrayInputs:
+    # both branches, the y = 4 switch and the decohere range up to 3e8
+    Y = np.concatenate([np.geomspace(1e-3, 3e8, 600), np.linspace(3.9, 4.1, 41)])
+    ALPHA = 7.05e-9
+
+    def test_ci_si_equal_scalar_calls(self):
+        np.testing.assert_array_equal(ci(self.Y), [ci(y) for y in self.Y.tolist()])
+        np.testing.assert_array_equal(si(self.Y), [si(y) for y in self.Y.tolist()])
+
+    def test_ci_si_match_scalar_evaluation(self):
+        ref = np.array([scalar_cisi(y) for y in self.Y.tolist()])
+        assert np.max(np.abs(ci(self.Y) - ref[:, 0])) <= 1e-15
+        assert np.max(np.abs(si(self.Y) - ref[:, 1])) <= 1e-15
+
+    def test_array_keeps_its_shape(self):
+        grid = self.Y[:40].reshape(5, 8)
+        assert ci(grid).shape == (5, 8)
+        np.testing.assert_array_equal(si(grid), si(self.Y[:40]).reshape(5, 8))
+
+    @pytest.mark.parametrize("delta_k", [0.5, 10.0, 300.0])
+    def test_population_signal_equals_scalar_calls(self, delta_k):
+        delta = convert(delta_k, "K", "Hz")
+        t = np.linspace(0.0, 3.0 * coherence_time(delta, self.ALPHA), 200)
+        for fn in (p_coherent, p_incoherent):
+            np.testing.assert_array_equal(fn(t, delta, self.ALPHA),
+                                          [fn(x, delta, self.ALPHA) for x in t.tolist()])
+
+    def test_times_broadcast_against_frequencies(self):
+        deltas = np.array([convert(k, "K", "Hz") for k in (0.5, 10.0, 300.0)])
+        t = np.linspace(0.0, 3.0 * coherence_time(deltas, self.ALPHA), 50, axis=1)
+        for fn in (p_coherent, p_incoherent):
+            grid = fn(t, deltas[:, None], self.ALPHA)
+            for row, d, times in zip(grid, deltas, t):
+                np.testing.assert_array_equal(row, fn(times, d, self.ALPHA))
+
+    def test_scalars_give_floats(self):
+        for value in (ci(2.0), si(7.5), p_coherent(1e-9, DELTA_10K, self.ALPHA),
+                      p_incoherent(1e-9, DELTA_10K, self.ALPHA),
+                      p_incoherent(0.0, DELTA_10K, self.ALPHA),
+                      coherence_time(DELTA_10K, self.ALPHA), ci(np.float64(3.0))):
+            assert type(value) is float
+
+    def test_coherence_time_on_arrays(self):
+        deltas = np.array([DELTA_10K, 2.0 * DELTA_10K])
+        np.testing.assert_array_equal(coherence_time(deltas, self.ALPHA),
+                                      [coherence_time(d, self.ALPHA) for d in deltas.tolist()])
+        with pytest.raises(ValueError):
+            coherence_time(np.array([DELTA_10K, 0.0]), self.ALPHA)
+
+    @pytest.mark.parametrize("fn", [ci, si])
+    def test_non_positive_element_rejected(self, fn):
+        with pytest.raises(ValueError):
+            fn(np.array([1.0, 5.0, 0.0]))
+        with pytest.raises(ValueError):
+            fn(np.array([-2.0, 5.0]))
+
+    @pytest.mark.parametrize("fn", [p_coherent, p_incoherent])
+    def test_negative_time_element_rejected(self, fn):
+        with pytest.raises(ValueError):
+            fn(np.array([0.0, 1e-9, -1e-12]), DELTA_10K, self.ALPHA)
