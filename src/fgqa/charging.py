@@ -17,9 +17,12 @@ where ``c_eff_i`` are the elimination pivots of the island matrix,
 island i, and ``w_i`` the corresponding quadratic bias terms.  The same
 energy is recovered numerically by :func:`minimize_charge_oracle`,
 which solves the original constrained quadratic programme over all
-branch charges exactly (a KKT linear system).  Its branches come from
-one table, ``_branches``: (kind, island, C, V) arrays of every branch
-with C > 0, which also labels the charges of :func:`solve_branch_charges`.
+branch charges exactly: the diagonal branch block of its KKT system is
+eliminated, and the m x m island system left is assembled from one
+branch table, ``_branches`` ((kind, island, C, V) arrays of every branch
+with C > 0, which also labels the charges of :func:`solve_branch_charges`),
+and solved as a general dense system.  It shares no formula with the
+closed form: no pivots, and the energy is summed over the branch charges.
 
 Near the degeneracy point between ``n_i`` and ``n_i + 1`` electrons the
 two charge states form a qubit, and expanding the quadratic form on
@@ -259,6 +262,19 @@ def solve_branch_charges(net: CapacitanceNetwork, bias: BiasSet, n) -> BranchCha
 
 
 def _solve_kkt(net: CapacitanceNetwork, bias: BiasSet, n):
+    """Branch charges (C) minimising the energy at occupation ``n``, and the
+    branch table they belong to.
+
+    The stationarity conditions q/C + A^T lam = V and the constraints
+    -A q = n e form the KKT system of the quadratic programme, with A the
+    (m, branches) island incidence of ``_branches``.  Its branch block
+    diag(1/C) is diagonal, so q = C (V - A^T lam) is eliminated exactly and
+    only the m x m island system
+
+        (A diag(C) A^T) lam = n e + A (C V)
+
+    is solved.
+    """
     n = np.asarray(n, dtype=float)
     m = net.m
     if n.shape != (m,):
@@ -266,20 +282,17 @@ def _solve_kkt(net: CapacitanceNetwork, bias: BiasSet, n):
     if bias.m != m:
         raise ValueError("bias and network cell counts differ")
     branches = kind, island, cap, volt = _branches(net, bias)
-    nb = cap.size
-    b = np.arange(nb)
     fg = np.flatnonzero(kind == _FG)
-    kkt = np.zeros((nb + m, nb + m))
-    kkt[b, b] = 1.0 / cap
-    kkt[b, nb + island] = 1.0
-    kkt[fg, nb + 1 + island[fg]] = -1.0
-    kkt[nb:, :nb] = -kkt[:nb, nb:].T      # constraint rows: the negated incidence
+    incidence = np.zeros((m, cap.size))
+    incidence[island, np.arange(cap.size)] = 1.0
+    incidence[island[fg] + 1, fg] = -1.0
+    weighted = incidence * cap
     try:
-        sol = np.linalg.solve(kkt, np.concatenate((volt, n * _E)))
+        lam = np.linalg.solve(weighted @ incidence.T, n * _E + weighted @ volt)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular charge-constraint system (non-physical "
                          f"network): {exc}") from exc
-    return sol[:nb], branches
+    return cap * (volt - lam @ incidence), branches
 
 
 def minimize_charge_oracle(net: CapacitanceNetwork, bias: BiasSet, n) -> float:
@@ -287,8 +300,10 @@ def minimize_charge_oracle(net: CapacitanceNetwork, bias: BiasSet, n) -> float:
 
     Minimises sum(q^2 / 2C) - sum(q V) over all branch charges subject
     to the per-island charge constraints, by an exact solve of the KKT
-    linear system.  Works for any row length; serves as the independent
-    cross-check of :func:`charging_energy`.
+    system with its diagonal branch block eliminated (see
+    ``_solve_kkt``), and evaluates that sum at the solved charges.
+    Works for any row length; serves as the independent cross-check of
+    :func:`charging_energy`, whose pivots and offsets it never uses.
     """
     q, (_, _, cap, volt) = _solve_kkt(net, bias, n)
     return float(np.sum(q * (q / (2.0 * cap) - volt))) / _E

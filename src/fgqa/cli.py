@@ -239,8 +239,14 @@ def _write_csv(path: str | None, command: str, cfg: dict, columns: list[str],
     """Write a CSV whose ``data`` holds one equal-length sequence per column.
 
     Fields are not quoted: no column name or value of any command holds a
-    comma, a quote or a line break.
+    comma, a quote or a line break.  A NaN is never a result, so a numeric
+    column holding one is refused (exit 3); an infinity is written, as
+    ``t_coh_s`` of a cell that does not tunnel is on purpose.
     """
+    for name, column in zip(columns, data):
+        floats = isinstance(column, np.ndarray) and column.dtype.kind == "f"
+        if floats and np.isnan(column).any():
+            raise ValueError(f"column {name} holds a NaN")
     lines = [f"# fgqa {command}", f"# config sha256: {config_hash(cfg)}",
              f"# columns: {','.join(columns)}", ",".join(columns),
              *map(",".join, zip(*map(_fields, data)))]
@@ -255,6 +261,13 @@ def _write_csv(path: str | None, command: str, cfg: dict, columns: list[str],
             raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
 
 
+def _finite(name: str, values):
+    """The ``values`` of column ``name``, which must not have overflowed."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"column {name} overflows the float range")
+    return values
+
+
 # ---------------------------------------------------------------- derive
 
 _DATASHEET_COLUMNS = ["J_K", "U_h_K", "U_w_eV", "tunnel_Hz"]
@@ -264,7 +277,9 @@ def _datasheet(geom: CellGeometry, mat: MaterialStack, v_cg) -> tuple:
     """The ``_DATASHEET_COLUMNS`` of a cell geometry: floats, or arrays over
     the points of an array-valued geometry or ``v_cg``."""
     params, amplitude = annealing.device_parameters(geom, mat, v_cg=v_cg)
-    return convert(params.j[0], "eV", "K"), convert(params.u_h, "eV", "K"), params.u_w, amplitude
+    sheet = (convert(params.j[0], "eV", "K"), convert(params.u_h, "eV", "K"), params.u_w,
+             amplitude)
+    return tuple(map(_finite, _DATASHEET_COLUMNS, sheet))
 
 
 def cmd_derive(cfg: dict, out: str | None) -> int:
@@ -320,6 +335,8 @@ def _sweep_grid(cfg: dict) -> np.ndarray:
     pts = _count(rng, "points", "range", required=True, minimum=2)
     if not lo < hi:
         raise ConfigError(f"range.min must be below range.max, got [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):      # linspace would make inf and nan points
+        raise ConfigError(f"range [{lo}, {hi}] is wider than the float range")
     return np.linspace(lo, hi, pts)
 
 
@@ -353,7 +370,7 @@ def cmd_sweep(cfg: dict, out: str | None) -> int:
         k = len(n_values)           # one row per (voltage, n), n varying fastest
         _write_csv(out, "sweep", cfg, [column, "n", "U_eV"],
                    [np.repeat(v_grid, k), np.tile(n_values, v_grid.size),
-                    np.column_stack([curves[n] for n in n_values]).ravel()])
+                    _finite("U_eV", np.column_stack([curves[n] for n in n_values]).ravel())])
         return EXIT_OK
 
     keep = slice(3, 4) if parameter == "V_CG" else slice(0, 4)   # V_CG: amplitude only
@@ -533,10 +550,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _load(args.config)
-        if args.command == "anneal":
-            return cmd_anneal(cfg, args.out, args.seed)
-        commands = {"derive": cmd_derive, "sweep": cmd_sweep, "decohere": cmd_decohere}
-        return commands[args.command](cfg, args.out)
+        # Overflow and invalid values are caught by the checks on the
+        # results (exit 2 or 3), not printed as numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if args.command == "anneal":
+                return cmd_anneal(cfg, args.out, args.seed)
+            commands = {"derive": cmd_derive, "sweep": cmd_sweep, "decohere": cmd_decohere}
+            return commands[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -157,6 +159,118 @@ class TestOracle:
                      "c_source", "c_drain"):
             absent = getattr(net, name) == 0.0
             assert np.all(getattr(charges, "q" + name[1:])[absent] == 0.0), name
+
+
+KINDS = ("gate", "sub", "source", "drain", "gate_left", "gate_right", "fg")
+
+
+def dense_kkt(net, bias, n):
+    """Energy (eV) and branch charges (C) by one dense solve of the whole KKT
+    system [[diag(1/C), A^T], [-A, 0]] [q; lam] = [V; n e]: the formulation
+    the oracle solved before its branch block was eliminated."""
+    m = net.m
+    vg, vr = bias.v_gate, bias.v_rail
+    volts = {"gate": vg, "sub": (bias.v_sub,) * m, "source": vr[:m], "drain": vr[1:],
+             "gate_left": (0.0,) + vg[:m - 1], "gate_right": vg[1:] + (0.0,),
+             "fg": (0.0,) * m}
+    branches = [(kind, i, getattr(net, "c_" + kind)[i], volts[kind][i])
+                for i in range(m) for kind in KINDS if getattr(net, "c_" + kind)[i] > 0.0]
+    nb = len(branches)
+    kkt = np.zeros((nb + m, nb + m))
+    rhs = np.concatenate(([v for (_, _, _, v) in branches], np.asarray(n, dtype=float) * E))
+    for b, (kind, i, c, _) in enumerate(branches):
+        kkt[b, b] = 1.0 / c
+        kkt[b, nb + i] = 1.0
+        if kind == "fg":
+            kkt[b, nb + i + 1] = -1.0
+    kkt[nb:, :nb] = -kkt[:nb, nb:].T
+    try:
+        q = np.linalg.solve(kkt, rhs)[:nb]
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"singular charge-constraint system (non-physical "
+                         f"network): {exc}") from exc
+    charges = {kind: np.zeros(m) for kind in KINDS}
+    energy = 0.0
+    for qb, (kind, i, c, v) in zip(q, branches):
+        charges[kind][i] = qb
+        energy += qb * (qb / (2.0 * c) - v)
+    return energy / E, charges
+
+
+def random_row(rng, m, p_zero=0.3, split=False):
+    """Random M-cell network with some zero branches, its bias and occupation.
+
+    Every island keeps a branch to a fixed voltage, so the row is physical.
+    With ``split`` an interior c_fg is zero, which cuts the row in two.
+    """
+    def draw(k):
+        return rng.uniform(1e-19, 5e-18, k) * (rng.random(k) >= p_zero)
+    grounded = {kind: draw(m) for kind in KINDS[:6]}
+    grounded["gate_left"][0] = grounded["gate_right"][-1] = 0.0
+    floating = ~np.any([c > 0.0 for c in grounded.values()], axis=0)
+    grounded["sub"][floating] = rng.uniform(1e-19, 5e-18, int(floating.sum()))
+    c_fg = np.r_[draw(m - 1), 0.0]
+    if split and m > 2:
+        c_fg[rng.integers(0, m - 2)] = 0.0
+    net = CapacitanceNetwork(c_fg=c_fg, **{"c_" + k: v for k, v in grounded.items()})
+    bias = BiasSet(tuple(rng.uniform(-5.0, 5.0, m)), float(rng.uniform(-5.0, 5.0)),
+                   tuple(rng.uniform(-5.0, 5.0, m + 1)))
+    return net, bias, rng.integers(-3, 4, m)
+
+
+def third_differences(m, energies):
+    """Mixed third differences of a function on the corners {0,1}^m, indexed
+    by the corner's bits; they all vanish for a quadratic function."""
+    corners = energies.reshape((2,) * m)        # axis k is bit m-1-k
+    out = []
+    for axes in itertools.combinations(range(m), 3):
+        d = corners
+        for ax in axes:
+            d = np.diff(d, axis=ax)
+        out.append(d.ravel())
+    return np.concatenate(out)
+
+
+class TestOracleAgainstDenseKKT:
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_energies_and_charges_match(self, m):
+        rng = np.random.default_rng([7, m])
+        for k in range(6):
+            net, bias, n = random_row(rng, m, p_zero=0.0 if k == 0 else 0.3, split=k >= 4)
+            energy, charges = dense_kkt(net, bias, n)
+            assert minimize_charge_oracle(net, bias, n) == pytest.approx(energy, rel=1e-12,
+                                                                         abs=0.0)
+            got = solve_branch_charges(net, bias, n)
+            scale = max(np.max(np.abs(q)) for q in charges.values())
+            for kind in KINDS:
+                q = getattr(got, "q_" + kind)
+                np.testing.assert_allclose(q, charges[kind], rtol=0.0, atol=1e-12 * scale)
+                assert np.all(q[getattr(net, "c_" + kind) == 0.0] == 0.0), kind
+
+    def test_island_without_branches_is_singular(self):
+        rng = np.random.default_rng(11)
+        net, bias, n = random_row(rng, 3, p_zero=0.0)
+        fields = {"c_" + kind: getattr(net, "c_" + kind).copy() for kind in KINDS}
+        for kind in KINDS:
+            fields["c_" + kind][1] = 0.0
+        fields["c_fg"][0] = 0.0                 # the FG-FG branch into island 1
+        empty = CapacitanceNetwork(**fields)
+        with pytest.raises(ValueError) as expected:
+            dense_kkt(empty, bias, n)
+        for solve in (minimize_charge_oracle, solve_branch_charges):
+            with pytest.raises(ValueError) as got:
+                solve(empty, bias, n)
+            assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("m", range(3, 11))
+    def test_corner_energies_are_quadratic(self, m):
+        # U is a quadratic form in the occupations, so over the corners of a
+        # unit cube every mixed third difference vanishes
+        net, bias, n0 = random_row(np.random.default_rng([13, m]), m)
+        bits = (np.arange(1 << m)[:, None] >> np.arange(m)[::-1]) & 1
+        energies = np.array([minimize_charge_oracle(net, bias, n0 + b) for b in bits])
+        worst = np.max(np.abs(third_differences(m, energies)))
+        assert worst <= 1e-9 * np.max(np.abs(energies))
 
 
 class TestIsingParameters:

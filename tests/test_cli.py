@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,34 @@ class TestSweep:
             assert main(["sweep", "--config",
                          write_config(tmp_path, "c.json", cfg)]) == EXIT_PHYSICS
 
+    @pytest.mark.parametrize("parameter, lo, hi, code, error", [
+        ("V_CG", -1.7e308, 1.7e308, EXIT_CONFIG,
+         "config error: range [-1.7e+308, 1.7e+308] is wider than the float range"),
+        ("L", -1.7e308, 1.7e308, EXIT_CONFIG,
+         "config error: range [-1.7e+308, 1.7e+308] is wider than the float range"),
+        ("d_ox", 1.0, 1.7e308, EXIT_CONFIG, "config error: invalid geometry: "
+         "CellGeometry.d_gate must be positive and finite, got inf"),
+        ("L", 5.0, 1e200, EXIT_PHYSICS,
+         "physics error: c_gate must be non-negative and finite"),
+        ("L", 1e100, 1e150, EXIT_PHYSICS,
+         "physics error: column tunnel_Hz overflows the float range"),
+        ("V_CG1-parabola", -1e160, 1e160, EXIT_PHYSICS,
+         "physics error: column U_eV overflows the float range"),
+    ], ids=["V_CG-span", "L-span", "d_ox-gate-oxide", "L-capacitance", "L-tunnel-rate",
+            "parabola-energy"])
+    def test_extreme_range_exits_without_numpy_warnings(self, tmp_path, capsys, parameter,
+                                                         lo, hi, code, error):
+        cfg = {"schema_version": 1, "parameter": parameter,
+               "range": {"min": lo, "max": hi, "points": 5}, "geometry": SWEEP_GEOMETRY}
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sweep", "--config", write_config(tmp_path, "c.json", cfg),
+                         "--out", str(out)]) == code
+        assert capsys.readouterr().err == error + "\n"
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()         # no nan or inf row is written
+
     @pytest.mark.parametrize("key, value", [
         ("range.points", 1),
         ("range.points", True),
@@ -450,6 +479,19 @@ def test_write_csv_matches_csv_writer(tmp_path):
     _write_csv(str(path), "test", {}, ["a", "b", "c"], list(floats.T))
     assert path.read_text().split("\n", 3)[3] == csv_writer_reference(
         ["a", "b", "c"], floats.tolist())
+
+
+def test_nan_result_is_physics_error(tmp_path, capsys):
+    # 1e300 K is finite in the config but infinite in Hz, so the populations are NaN
+    cfg = {"schema_version": 1, "delta_kelvin": [10.0, 1e300], "time_points": 3}
+    out = tmp_path / "pt.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["decohere", "--config", write_config(tmp_path, "c.json", cfg),
+                     "--out", str(out)]) == EXIT_PHYSICS
+    assert capsys.readouterr().err == "physics error: column p_coh holds a NaN\n"
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
