@@ -37,7 +37,6 @@ from .cells import (
     cell_from_coupling_ratio,
     control_oxide_thickness,
     coupling_ratio,
-    fg_potential,
     single_electron_margin,
 )
 from .charging import (
@@ -61,7 +60,6 @@ from .decoherence import (
     renormalization_exponent,
     renormalized_tunneling,
     si,
-    spectral_density,
     superohmic_rate,
 )
 from .tunneling import (

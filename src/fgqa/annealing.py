@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cells import BiasSet, CapacitanceNetwork, CellGeometry, MaterialStack, build_network
+from .cells import BiasSet, CellGeometry, MaterialStack, build_network
 from .charging import IsingParameters, ising_parameters, reduce_network
 from .constants import CONST, float_or_array
 from .tunneling import TunnelBarrier, tunnel_amplitude

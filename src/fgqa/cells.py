@@ -45,7 +45,6 @@ __all__ = [
     "control_oxide_thickness",
     "cell_from_coupling_ratio",
     "build_network",
-    "fg_potential",
     "coupling_ratio",
     "single_electron_margin",
 ]
@@ -263,20 +262,6 @@ def build_network(geom: CellGeometry, mat: MaterialStack, m: int) -> Capacitance
         c_source=row(ones, diag_rail),
         c_drain=row(ones, diag_rail),
     )
-
-
-def fg_potential(q: float, c_gate: float, c_sub: float, v_gate: float,
-                 v_sub: float) -> float:
-    """Floating-gate potential of a single cell holding charge ``q`` (C).
-
-    V_FG = Q / (C_gate + C_sub) + (C_gate V_gate + C_sub V_sub) / (C_gate + C_sub):
-    a stored-charge shift plus the capacitive divider between gate and
-    substrate.
-    """
-    total = c_gate + c_sub
-    if total <= 0.0:
-        raise ValueError("total capacitance must be positive")
-    return q / total + (c_gate * v_gate + c_sub * v_sub) / total
 
 
 def coupling_ratio(c_gate: float, c_sub: float) -> float:

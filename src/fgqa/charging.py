@@ -20,9 +20,9 @@ which solves the original constrained quadratic programme over all
 branch charges exactly: the diagonal branch block of its KKT system is
 eliminated, and the m x m island system left is assembled from one
 branch table, ``_branches`` ((kind, island, C, V) arrays of every branch
-with C > 0, which also labels the charges of :func:`solve_branch_charges`),
-and solved as a general dense system.  It shares no formula with the
-closed form: no pivots, and the energy is summed over the branch charges.
+with C > 0), and solved as a general dense system.  It shares no formula
+with the closed form: no pivots, and the energy is summed over the
+branch charges.
 
 Near the degeneracy point between ``n_i`` and ``n_i + 1`` electrons the
 two charge states form a qubit, and expanding the quadratic form on
@@ -33,7 +33,9 @@ that two-state space yields longitudinal fields ``h_i``, couplings
     U_w : gate-voltage spacing between adjacent degeneracies (V),
 
 computed by :func:`ising_parameters`.  The closed forms here cover
-exactly three cells; longer rows go through the numeric oracle.
+exactly three cells; longer rows go through the numeric oracle.  The
+per-cell parabola curvature (``_curvature``) and the offset charge of a
+gate sweep (``_swept_offset``) are each computed in one place.
 
 The closed forms index the cell axis only, so a network built from an
 array-valued geometry (cells first, sweep points on the trailing axes)
@@ -55,12 +57,10 @@ from .constants import CONST, float_or_array
 __all__ = [
     "ReducedChargingForm",
     "IsingParameters",
-    "BranchCharges",
     "reduce_network",
     "charging_energy",
     "effective_gate_charge",
     "minimize_charge_oracle",
-    "solve_branch_charges",
     "ising_parameters",
     "parabola_family",
     "parabola_crossings",
@@ -114,28 +114,6 @@ class IsingParameters:
     const: float | np.ndarray
     u_h: float | np.ndarray
     u_w: float | np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class BranchCharges:
-    """Solved branch charges (C) of the constrained minimisation."""
-
-    q_gate: np.ndarray
-    q_sub: np.ndarray
-    q_fg: np.ndarray
-    q_gate_left: np.ndarray
-    q_gate_right: np.ndarray
-    q_source: np.ndarray
-    q_drain: np.ndarray
-
-    def island_charge(self) -> np.ndarray:
-        """Net charge per island implied by the branch orientation (C)."""
-        m = self.q_gate.shape[0]
-        q = -(self.q_gate + self.q_sub + self.q_gate_left + self.q_gate_right
-              + self.q_source + self.q_drain)
-        q -= self.q_fg
-        q[1:] += self.q_fg[:m - 1]
-        return q
 
 
 def _cells_first(a, ndim: int) -> np.ndarray:
@@ -229,11 +207,9 @@ def effective_gate_charge(form: ReducedChargingForm, n) -> np.ndarray:
     return n + 0.5 + form.q_offset / _E
 
 
-# Branch kinds in the order each island lists them; the index of a kind is its
-# column in the stacked (m, 7) capacitances of :func:`_branches`.
-_BRANCH_KINDS = ("q_gate", "q_sub", "q_source", "q_drain", "q_gate_left",
-                 "q_gate_right", "q_fg")
-_FG = _BRANCH_KINDS.index("q_fg")
+# Column of the FG-FG branch in the stacked (m, 7) capacitances of
+# :func:`_branches`.
+_FG = 6
 
 
 def _branches(net: CapacitanceNetwork, bias: BiasSet):
@@ -253,27 +229,23 @@ def _branches(net: CapacitanceNetwork, bias: BiasSet):
     return kind, island, caps[island, kind], volts[island, kind]
 
 
-def solve_branch_charges(net: CapacitanceNetwork, bias: BiasSet, n) -> BranchCharges:
-    """Branch charges minimising the network energy at fixed occupation."""
-    q, (kind, island, _, _) = _solve_kkt(net, bias, n)
-    out = np.zeros((len(_BRANCH_KINDS), net.m))
-    out[kind, island] = q
-    return BranchCharges(**dict(zip(_BRANCH_KINDS, out)))
+def minimize_charge_oracle(net: CapacitanceNetwork, bias: BiasSet, n) -> float:
+    """Charging energy (eV) by direct constrained minimisation.
 
-
-def _solve_kkt(net: CapacitanceNetwork, bias: BiasSet, n):
-    """Branch charges (C) minimising the energy at occupation ``n``, and the
-    branch table they belong to.
-
-    The stationarity conditions q/C + A^T lam = V and the constraints
-    -A q = n e form the KKT system of the quadratic programme, with A the
-    (m, branches) island incidence of ``_branches``.  Its branch block
-    diag(1/C) is diagonal, so q = C (V - A^T lam) is eliminated exactly and
-    only the m x m island system
+    Minimises sum(q^2 / 2C) - sum(q V) over all branch charges subject
+    to the per-island charge constraints, and evaluates that sum at the
+    solved charges.  The stationarity conditions q/C + A^T lam = V and
+    the constraints -A q = n e form the KKT system of the quadratic
+    programme, with A the (m, branches) island incidence of
+    ``_branches``.  Its branch block diag(1/C) is diagonal, so
+    q = C (V - A^T lam) is eliminated exactly and only the m x m island
+    system
 
         (A diag(C) A^T) lam = n e + A (C V)
 
-    is solved.
+    is solved.  Works for any row length; serves as the independent
+    cross-check of :func:`charging_energy`, whose pivots and offsets it
+    never uses.
     """
     n = np.asarray(n, dtype=float)
     m = net.m
@@ -281,7 +253,7 @@ def _solve_kkt(net: CapacitanceNetwork, bias: BiasSet, n):
         raise ValueError(f"expected {m} occupation numbers, got shape {n.shape}")
     if bias.m != m:
         raise ValueError("bias and network cell counts differ")
-    branches = kind, island, cap, volt = _branches(net, bias)
+    kind, island, cap, volt = _branches(net, bias)
     fg = np.flatnonzero(kind == _FG)
     incidence = np.zeros((m, cap.size))
     incidence[island, np.arange(cap.size)] = 1.0
@@ -292,21 +264,19 @@ def _solve_kkt(net: CapacitanceNetwork, bias: BiasSet, n):
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular charge-constraint system (non-physical "
                          f"network): {exc}") from exc
-    return cap * (volt - lam @ incidence), branches
-
-
-def minimize_charge_oracle(net: CapacitanceNetwork, bias: BiasSet, n) -> float:
-    """Charging energy (eV) by direct constrained minimisation.
-
-    Minimises sum(q^2 / 2C) - sum(q V) over all branch charges subject
-    to the per-island charge constraints, by an exact solve of the KKT
-    system with its diagonal branch block eliminated (see
-    ``_solve_kkt``), and evaluates that sum at the solved charges.
-    Works for any row length; serves as the independent cross-check of
-    :func:`charging_energy`, whose pivots and offsets it never uses.
-    """
-    q, (_, _, cap, volt) = _solve_kkt(net, bias, n)
+    q = cap * (volt - lam @ incidence)
     return float(np.sum(q * (q / (2.0 * cap) - volt))) / _E
+
+
+def _curvature(form: ReducedChargingForm) -> np.ndarray:
+    """Per-cell quadratic coefficient A_i (eV) of the charging energy,
+
+        A_i = e / (2 c_eff_i) * (1 + c_fg_i^2 / (c_eff_i c_eff_{i+1})),
+
+    the last cell without the bracket; cells first, like ``form.c_eff``."""
+    d = form.c_eff
+    back = np.concatenate((form.network.c_fg[:-1]**2 / (d[:-1] * d[1:]), np.zeros_like(d[:1])))
+    return _E / (2.0 * d) * (1.0 + back)
 
 
 def ising_parameters(form: ReducedChargingForm, n_g) -> IsingParameters:
@@ -330,12 +300,7 @@ def ising_parameters(form: ReducedChargingForm, n_g) -> IsingParameters:
     d = form.c_eff
     g = _cells_first(g, d.ndim)
     c_fg = form.network.c_fg
-    r0 = c_fg[0]**2 / (d[0] * d[1])
-    r1 = c_fg[1]**2 / (d[1] * d[2])
-
-    a = np.array([_E / (2.0 * d[0]) * (1.0 + r0),
-                  _E / (2.0 * d[1]) * (1.0 + r1),
-                  _E / (2.0 * d[2])])
+    a = _curvature(form)
     h = (a[0] * g[0] + _E * c_fg[0] * g[1] / (2.0 * d[0] * d[1]),
          a[1] * g[1] + _E * (c_fg[0] * g[0] + c_fg[1] * g[2]) / (2.0 * d[1] * d[2]),
          a[2] * g[2] + _E * c_fg[1] * g[1] / (2.0 * d[1] * d[2]))
@@ -344,7 +309,7 @@ def ising_parameters(form: ReducedChargingForm, n_g) -> IsingParameters:
     const = (np.sum(a * (g**2 + 0.25), axis=0) - np.sum(form.w_bias, axis=0) / (2.0 * _E)
              + _E * c_fg[0] * g[0] * g[1] / (d[0] * d[1])
              + _E * c_fg[1] * g[1] * g[2] / (d[1] * d[2]))
-    u_h = _E / (8.0 * d[0]) * (1.0 + r0)
+    u_h = a[0] / 4.0
     u_w = _E / form.network.c_gate[0]
     return IsingParameters(h=tuple(float_or_array(x) for x in h),
                            j=tuple(float_or_array(x) for x in j),
@@ -352,10 +317,18 @@ def ising_parameters(form: ReducedChargingForm, n_g) -> IsingParameters:
                            u_w=float_or_array(u_w))
 
 
-def _sweep_bias(net: CapacitanceNetwork, v: float, v_gate2: float, v_sub: float,
-                tie_third: bool, v_rail: float) -> BiasSet:
-    v3 = v if tie_third else v_gate2
-    return BiasSet((v, v_gate2, v3), v_sub, (v_rail,) * (net.m + 1))
+def _swept_offset(net: CapacitanceNetwork, cell: int, v, v_gate2: float, v_sub: float,
+                  tie_third: bool, v_rail: float) -> np.ndarray:
+    """Bias offset charge (C) of ``cell`` in a three-cell row whose first gate
+    (and third, with ``tie_third``) is swept over the voltages ``v``."""
+    if net.m != 3:
+        raise ValueError(f"the gate sweep drives a 3-cell row, got {net.m} cells")
+    if not 0 <= cell < 3:
+        raise ValueError("cell index must be 0, 1 or 2")
+    v = np.asarray(v, dtype=float)
+    v2 = np.full_like(v, v_gate2)
+    v_gate = np.stack((v, v2, v if tie_third else v2))
+    return _offsets(net, v_gate, v_sub, np.full(net.m + 1, v_rail))[0][cell]
 
 
 def parabola_family(net: CapacitanceNetwork, v_gate_values, n_values,
@@ -378,17 +351,8 @@ def parabola_family(net: CapacitanceNetwork, v_gate_values, n_values,
     n_list = [int(n) for n in n_values]
     if v_grid.size == 0 or not n_list:
         raise ValueError("empty sweep range")
-    if not 0 <= cell < 3:
-        raise ValueError("cell index must be 0, 1 or 2")
-    d = reduce_network(net, _sweep_bias(net, 0.0, v_gate2, v_sub, tie_third, v_rail)).c_eff
-    c_fg = net.c_fg
-    if cell < 2:
-        a = _E / (2.0 * d[cell]) * (1.0 + c_fg[cell]**2 / (d[cell] * d[cell + 1]))
-    else:
-        a = _E / (2.0 * d[2])
-    v2 = np.full_like(v_grid, v_gate2)
-    v_gate = np.stack((v_grid, v2, v_grid if tie_third else v2))
-    nt0 = _offsets(net, v_gate, v_sub, np.full(net.m + 1, v_rail))[0][cell] / _E
+    nt0 = _swept_offset(net, cell, v_grid, v_gate2, v_sub, tie_third, v_rail) / _E
+    a = _curvature(reduce_network(net, BiasSet.uniform(3)))[cell]
     return v_grid, {n: a * (n + nt0)**2 for n in n_list}
 
 
@@ -401,10 +365,8 @@ def parabola_crossings(net: CapacitanceNetwork, n_values, cell: int = 0,
     solves  n + 1/2 + q_offset(V)/e = 0  exactly; consecutive crossings
     are spaced by the gate-voltage period U_w of the swept cell.
     """
-    f0 = reduce_network(net, _sweep_bias(net, 0.0, v_gate2, v_sub, tie_third, v_rail))
-    f1 = reduce_network(net, _sweep_bias(net, 1.0, v_gate2, v_sub, tie_third, v_rail))
-    q0 = f0.q_offset[cell]
-    slope = f1.q_offset[cell] - q0
+    q0, q1 = _swept_offset(net, cell, (0.0, 1.0), v_gate2, v_sub, tie_third, v_rail)
+    slope = q1 - q0
     if slope == 0.0:
         raise ValueError("swept gate does not couple to the requested cell")
     return np.array([-(_E * (n + 0.5) + q0) / slope for n in n_values])

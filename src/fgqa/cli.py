@@ -219,6 +219,17 @@ def _environment(cfg: dict, where: str = "environment") -> decoherence.PhononEnv
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
+def _kelvin_to_hz(kelvin, key: str):
+    """``kelvin`` (a number or an array) converted to Hz; a value whose
+    frequency overflows the float range is an error naming ``key``."""
+    hz = convert(kelvin, "K", "Hz")
+    overflow = ~np.isfinite(np.ravel(hz))
+    if overflow.any():
+        raise ConfigError(f"config.{key} holds {np.ravel(kelvin)[overflow][0].item()!r} K, "
+                          f"whose frequency overflows the float range")
+    return hz
+
+
 # ---------------------------------------------------------------- output
 
 def _fmt(x) -> str:
@@ -294,6 +305,7 @@ def cmd_derive(cfg: dict, out: str | None) -> int:
     v_cg = _number(cfg, "v_cg", "config", 0.0)
     threshold = _number(cfg, "normally_on_threshold_hz", "config", 1e3, positive=True)
     delta_k = _number(cfg, "coherence_delta_kelvin", "config", positive=True)
+    delta_hz = None if delta_k is None else _kelvin_to_hz(delta_k, "coherence_delta_kelvin")
     mat = _material(cfg)
     env = _environment(cfg)
     try:
@@ -305,10 +317,8 @@ def cmd_derive(cfg: dict, out: str | None) -> int:
                         d_gate=d_gate)
     sheet = _datasheet(geom, mat, v_cg)
     devices = classify(geom, TunnelBarrier.from_stack(geom, mat), threshold)
-    if delta_k is None:
-        delta_hz = sheet[3]             # each length's own tunnel amplitude
-    else:
-        delta_hz = np.full(lengths.shape, convert(delta_k, "K", "Hz"))
+    # without a configured delta, each length's own tunnel amplitude
+    delta_hz = sheet[3] if delta_hz is None else np.full(lengths.shape, delta_hz)
     t_coh = np.full(lengths.shape, math.inf)
     tunnels = delta_hz > 0
     if tunnels.any():
@@ -506,11 +516,11 @@ def cmd_decohere(cfg: dict, out: str | None) -> int:
         raise ConfigError("config.delta_kelvin must not be empty")
     points = _count(cfg, "time_points", "config", 200, minimum=2)
     factor = _number(cfg, "max_time_factor", "config", 3.0, positive=True)
+    deltas_hz = _kelvin_to_hz(np.array(deltas_k), "delta_kelvin")
 
     exponent = decoherence.renormalization_exponent(env)
     print(f"renormalization exponent: {exponent!r}")
     print(f"ohmic alpha: {env.alpha!r}")
-    deltas_hz = convert(np.array(deltas_k), "K", "Hz")
     t_coh = decoherence.coherence_time(deltas_hz, env.alpha)
     for dk, delta_hz, tc in zip(deltas_k, deltas_hz.tolist(), t_coh.tolist()):
         rate = decoherence.superohmic_rate(delta_hz, env)

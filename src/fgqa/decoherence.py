@@ -42,7 +42,6 @@ from .constants import CONST, float_or_array
 
 __all__ = [
     "PhononEnvironment",
-    "spectral_density",
     "renormalization_exponent",
     "renormalized_tunneling",
     "superohmic_rate",
@@ -60,28 +59,23 @@ _EULER_GAMMA = 0.5772156649015328606
 class PhononEnvironment:
     """Acoustic-phonon bath of the oxide stack.
 
-    The ohmic strength can be supplied two ways: directly through
-    ``ohmic_alpha`` (the default), or through the microscopic two-level
-    parameters ``tls_frequency`` (nu) and ``tls_length`` (d), in which
-    case alpha = gamma^2 nu^2 / (2 pi^2 hbar rho c^3 d^2).
+    The default ``ohmic_alpha`` comes from the microscopic two-level
+    formula alpha = gamma^2 nu^2 / (2 pi^2 hbar rho c^3 d^2), with nu and
+    d the parameters of the oxide's two-level systems.
     """
 
     coupling_ev: float = 10.0          # deformation coupling gamma, eV
     sound_speed: float = 4300.0        # c, m/s
     density: float = 2200.0            # rho, kg/m^3
     debye_temperature: float = 450.0   # K; omega_c = k_B T_D / hbar
-    tls_frequency: float | None = None # nu (SI, paired with tls_length)
-    tls_length: float | None = None    # d (m)
-    ohmic_alpha: float = 7.05e-9       # used when nu, d are absent
+    ohmic_alpha: float = 7.05e-9       # dimensionless ohmic strength
 
     def __post_init__(self):
         if self.coupling_ev <= 0.0 or self.sound_speed <= 0.0 or self.density <= 0.0:
             raise ValueError("coupling, sound speed and density must be positive")
         if self.debye_temperature <= 0.0:
             raise ValueError("Debye temperature must be positive")
-        if (self.tls_frequency is None) != (self.tls_length is None):
-            raise ValueError("tls_frequency and tls_length must be given together")
-        if self.tls_frequency is None and self.ohmic_alpha < 0.0:
+        if self.ohmic_alpha < 0.0:
             raise ValueError("ohmic_alpha must be non-negative")
 
     @property
@@ -96,30 +90,7 @@ class PhononEnvironment:
     @property
     def alpha(self) -> float:
         """Dimensionless ohmic coupling strength."""
-        if self.tls_frequency is not None:
-            return (self.coupling_j**2 * self.tls_frequency**2
-                    / (2.0 * math.pi**2 * CONST.hbar_j_s * self.density
-                       * self.sound_speed**3 * self.tls_length**2))
         return self.ohmic_alpha
-
-
-def spectral_density(omega: float, env: PhononEnvironment) -> float:
-    """Bath spectral function at angular frequency ``omega`` (J).
-
-    Superohmic cubic term plus the ohmic term; when the microscopic
-    two-level parameters are absent the ohmic coefficient is recovered
-    from alpha as 2 pi^2 hbar alpha.
-    """
-    if omega < 0.0:
-        raise ValueError("frequency must be non-negative")
-    g2 = env.coupling_j**2
-    cubic = g2 * omega**3 / (math.pi * env.density * env.sound_speed**5)
-    if env.tls_frequency is not None:
-        k_ohmic = g2 * env.tls_frequency**2 / (env.density * env.sound_speed**3
-                                               * env.tls_length**2)
-    else:
-        k_ohmic = 2.0 * math.pi**2 * CONST.hbar_j_s * env.alpha
-    return cubic + k_ohmic * omega
 
 
 def renormalization_exponent(env: PhononEnvironment) -> float:

@@ -11,11 +11,11 @@ side of the barrier, a kinematic prefactor, and the barrier exponent:
 in eV (converted to Hz on return), with the Bohr radius ``a_0`` and
 Rydberg energy ``R_y`` setting the atomic scales, and effective masses
 in units of the vacuum electron mass.  The gate voltage acts through a
-rigid shift of the floating-gate Fermi level, E_F' = E_F - V_CG under
-the default polarity (negative gate bias raises the level and switches
-tunneling on); the equilibrium electron count N_L is set by the doping
-alone.  The cell geometry, the oxide thickness and the gate voltage may
-be arrays (the points of a sweep); the amplitude is then an array too.
+rigid shift of the floating-gate Fermi level, E_F' = E_F - V_CG
+(negative gate bias raises the level and switches tunneling on); the
+equilibrium electron count N_L is set by the doping alone.  The cell
+geometry, the oxide thickness and the gate voltage may be arrays (the
+points of a sweep); the amplitude is then an array too.
 """
 
 from __future__ import annotations
@@ -52,30 +52,21 @@ class DeviceClass(enum.Enum):
 
 @dataclass(frozen=True)
 class TunnelBarrier:
-    """Barrier stack seen by electrons leaving the floating gate.
-
-    ``volume_scale`` rescales the volume of electrons counted as
-    tunneling participants (1.0 = the whole FG volume on each side).
-    ``gate_polarity`` is the sign mapping gate voltage onto the Fermi
-    shift, E_F' = E_F + gate_polarity * V_CG; the default -1 makes a
-    negative gate bias raise the level.
-    """
+    """Barrier stack seen by electrons leaving the floating gate."""
 
     d_ox: float | np.ndarray       # tunnel-oxide thickness, nm
     barrier_ev: float = 3.1        # barrier height V_ox, eV
     m_ox: float = 0.5              # barrier effective mass / m0
     m_si: float = 0.19             # silicon effective mass / m0
     doping_cm3: float = 1e20       # FG carrier density, cm^-3
-    volume_scale: float = 1.0
-    gate_polarity: float = -1.0
 
     def __post_init__(self):
         if np.any(np.less_equal(self.d_ox, 0.0)):
             raise ValueError("oxide thickness must be positive")
         if self.barrier_ev <= 0.0 or self.m_ox <= 0.0 or self.m_si <= 0.0:
             raise ValueError("barrier height and masses must be positive")
-        if self.doping_cm3 <= 0.0 or self.volume_scale <= 0.0:
-            raise ValueError("doping and volume scale must be positive")
+        if self.doping_cm3 <= 0.0:
+            raise ValueError("doping must be positive")
 
     @classmethod
     def from_stack(cls, geom: CellGeometry, mat: MaterialStack, **overrides) -> "TunnelBarrier":
@@ -89,8 +80,7 @@ class TunnelBarrier:
         return fermi_energy(self.doping_cm3, self.m_si)
 
 
-def participants(geom: CellGeometry, e_f_ev: float, m_eff: float = 0.19,
-                 volume_scale: float = 1.0) -> float:
+def participants(geom: CellGeometry, e_f_ev: float, m_eff: float = 0.19) -> float:
     """Electrons taking part in tunneling on one side of the barrier.
 
     Counts every electron in the participating volume v (both spins and
@@ -108,7 +98,7 @@ def participants(geom: CellGeometry, e_f_ev: float, m_eff: float = 0.19,
         return 0.0
     k_f = math.sqrt(2.0 * m_eff * CONST.electron_mass * e_f_ev * CONST.electron_charge) \
         / CONST.hbar_j_s
-    volume_m3 = volume_scale * geom.volume_nm3 * 1e-27
+    volume_m3 = geom.volume_nm3 * 1e-27
     return volume_m3 * k_f**3 / (3.0 * math.pi**2)
 
 
@@ -125,14 +115,14 @@ def tunnel_amplitude(geom: CellGeometry, barrier: TunnelBarrier, v_cg=0.0):
         If E_F' reaches the barrier top (V_ox - E_F' <= 0) at any point.
     """
     e_f = barrier.fermi_level_ev
-    e_f_shifted = e_f + barrier.gate_polarity * np.asarray(v_cg, dtype=float)
+    e_f_shifted = e_f - np.asarray(v_cg, dtype=float)
     headroom = barrier.barrier_ev - e_f_shifted
     collapsed = headroom <= 0.0
     if collapsed.any():
         raise BarrierCollapseError(
             f"shifted Fermi level {e_f_shifted[collapsed][0]:.4g} eV is at or above the "
             f"barrier top {barrier.barrier_ev:.4g} eV; no evanescent barrier left")
-    n_side = participants(geom, e_f, barrier.m_si, barrier.volume_scale)
+    n_side = participants(geom, e_f, barrier.m_si)
     prefactor_ev = (n_side * n_side * CONST.rydberg_ev / barrier.m_si
                     * (math.pi * CONST.bohr_radius_nm / geom.length) ** 2)
     exponent = -(barrier.d_ox / CONST.bohr_radius_nm) * np.sqrt(

@@ -10,10 +10,8 @@ from fgqa.cells import (
     cell_from_coupling_ratio,
     control_oxide_thickness,
     coupling_ratio,
-    fg_potential,
     single_electron_margin,
 )
-from fgqa.constants import CONST
 
 
 class TestControlOxideThickness:
@@ -113,26 +111,6 @@ class TestGeometryInvariants:
         kwargs[field] = 0.0
         with pytest.raises(ValueError):
             CellGeometry(**kwargs)
-
-
-class TestFgPotential:
-    def test_equipotential(self):
-        assert fg_potential(0.0, 1e-18, 2e-18, 0.7, 0.7) == pytest.approx(0.7, rel=1e-15)
-
-    def test_capacitive_divider(self):
-        c_gate, c_sub = 3e-19, 7e-19
-        v = fg_potential(0.0, c_gate, c_sub, 1.0, 0.0)
-        assert v == pytest.approx(coupling_ratio(c_gate, c_sub), rel=1e-15)
-
-    def test_single_electron_shift(self):
-        # one electron on the 15 x 15 nm^2 / 3.5 nm bottom-oxide plate alone
-        c_sub = MaterialStack().eps_ox * 225.0 / 3.5
-        shift = fg_potential(CONST.electron_charge, 0.0, c_sub, 0.0, 0.0)
-        assert shift == pytest.approx(0.0721758, rel=1e-5)
-
-    def test_rejects_zero_total_capacitance(self):
-        with pytest.raises(ValueError):
-            fg_potential(1e-19, 0.0, 0.0, 0.0, 0.0)
 
 
 class TestSingleElectronMargin:

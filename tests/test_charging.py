@@ -14,7 +14,6 @@ from fgqa.charging import (
     parabola_crossings,
     parabola_family,
     reduce_network,
-    solve_branch_charges,
 )
 from fgqa.constants import CONST, convert
 
@@ -135,31 +134,6 @@ class TestOracle:
         u = minimize_charge_oracle(net, BiasSet.uniform(5, v_gate=0.2), [1, 0, -1, 0, 1])
         assert np.isfinite(u)
 
-    def test_branch_charges_satisfy_constraints(self, rng):
-        net = random_network(rng)
-        bias = random_bias(rng)
-        n = np.array([1, -1, 2])
-        charges = solve_branch_charges(net, bias, n)
-        np.testing.assert_allclose(charges.island_charge(), n * E, rtol=1e-9)
-
-    def test_branch_charges_with_missing_branches(self):
-        # gate-left of cell 1 and every rail branch are zero: their
-        # charges must stay exactly zero and must not shift the others
-        net = CapacitanceNetwork(
-            c_gate=np.full(3, 1e-18), c_sub=np.full(3, 2e-18),
-            c_fg=np.array([5e-19, 5e-19, 0.0]),
-            c_gate_left=np.array([0.0, 1e-19, 1e-19]),
-            c_gate_right=np.array([1e-19, 1e-19, 0.0]),
-            c_source=np.zeros(3), c_drain=np.zeros(3))
-        bias = BiasSet((0.3, 0.1, -0.2), v_sub=0.05)
-        n = np.array([1, 0, 2])
-        charges = solve_branch_charges(net, bias, n)
-        np.testing.assert_allclose(charges.island_charge() / E, n, rtol=0, atol=1e-12)
-        for name in ("c_gate", "c_sub", "c_fg", "c_gate_left", "c_gate_right",
-                     "c_source", "c_drain"):
-            absent = getattr(net, name) == 0.0
-            assert np.all(getattr(charges, "q" + name[1:])[absent] == 0.0), name
-
 
 KINDS = ("gate", "sub", "source", "drain", "gate_left", "gate_right", "fg")
 
@@ -240,12 +214,12 @@ class TestOracleAgainstDenseKKT:
             energy, charges = dense_kkt(net, bias, n)
             assert minimize_charge_oracle(net, bias, n) == pytest.approx(energy, rel=1e-12,
                                                                          abs=0.0)
-            got = solve_branch_charges(net, bias, n)
+            # the reference charges meet every island constraint, so the
+            # energy it is compared with is the constrained minimum
+            island = -sum(charges.values())
+            island[1:] += charges["fg"][:-1]
             scale = max(np.max(np.abs(q)) for q in charges.values())
-            for kind in KINDS:
-                q = getattr(got, "q_" + kind)
-                np.testing.assert_allclose(q, charges[kind], rtol=0.0, atol=1e-12 * scale)
-                assert np.all(q[getattr(net, "c_" + kind) == 0.0] == 0.0), kind
+            np.testing.assert_allclose(island, n * E, rtol=0.0, atol=1e-12 * scale)
 
     def test_island_without_branches_is_singular(self):
         rng = np.random.default_rng(11)
@@ -257,10 +231,9 @@ class TestOracleAgainstDenseKKT:
         empty = CapacitanceNetwork(**fields)
         with pytest.raises(ValueError) as expected:
             dense_kkt(empty, bias, n)
-        for solve in (minimize_charge_oracle, solve_branch_charges):
-            with pytest.raises(ValueError) as got:
-                solve(empty, bias, n)
-            assert str(got.value) == str(expected.value)
+        with pytest.raises(ValueError) as got:
+            minimize_charge_oracle(empty, bias, n)
+        assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("m", range(3, 11))
     def test_corner_energies_are_quadratic(self, m):
@@ -393,6 +366,47 @@ class TestParabolas:
             for n, u in curves.items():
                 assert u[k] == pytest.approx(a * (n + form.q_offset[cell] / E)**2,
                                              rel=2e-15, abs=1e-300)
+
+    @pytest.mark.parametrize("cell", [0, 1, 2])
+    @pytest.mark.parametrize("tie_third", [True, False])
+    def test_crossings_of_every_cell_under_bias(self, cell, tie_third):
+        # each crossing is a root of the parabola difference, where the
+        # cell's gate coordinate vanishes
+        bias = dict(v_gate2=0.2, v_sub=-0.05, tie_third=tie_third, v_rail=0.1)
+        if cell == 2 and not tie_third:
+            # only the held second and third gates reach the last cell
+            with pytest.raises(ValueError, match="does not couple"):
+                parabola_crossings(self.net, [0], cell=cell, **bias)
+            return
+        ns = [-1, 0, 1]
+        crossings = parabola_crossings(self.net, ns, cell=cell, **bias)
+        period = abs(crossings[1] - crossings[0])
+        for n, guess in zip(ns, crossings.tolist()):
+            def diff(v):
+                _, curves = parabola_family(self.net, [v], [n, n + 1], cell=cell, **bias)
+                return curves[n][0] - curves[n + 1][0]
+            root = brentq(diff, guess - 0.4 * period, guess + 0.4 * period, xtol=1e-13)
+            assert guess == pytest.approx(root, rel=0.0, abs=1e-9)
+            v_gate = (root, 0.2, root if tie_third else 0.2)
+            form = reduce_network(self.net, BiasSet(v_gate, -0.05, (0.1,) * 4))
+            occupation = [n if k == cell else 0 for k in range(3)]
+            assert abs(effective_gate_charge(form, occupation)[cell]) < 1e-9
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_sweeps_need_three_cells(self, m):
+        net = build_network(cell_from_coupling_ratio(10.0, 100.0, 3.5, 0.3),
+                            MaterialStack(), m)
+        with pytest.raises(ValueError):
+            parabola_crossings(net, [0])
+        with pytest.raises(ValueError):
+            parabola_family(net, [0.0, 0.1], [0])
+
+    @pytest.mark.parametrize("cell", [-1, 3])
+    def test_rejects_cell_outside_row(self, cell):
+        with pytest.raises(ValueError, match="cell index"):
+            parabola_crossings(self.net, [0], cell=cell)
+        with pytest.raises(ValueError, match="cell index"):
+            parabola_family(self.net, [0.0], [0], cell=cell)
 
     def test_rejects_empty_ranges(self):
         with pytest.raises(ValueError):

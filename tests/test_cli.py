@@ -142,6 +142,14 @@ class TestDerive:
                      write_config(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
         assert f"config.{key} " in capsys.readouterr().err
 
+    def test_delta_beyond_float_range_in_hz_is_config_error(self, tmp_path, capsys):
+        cfg = dict(DERIVE_CFG, coherence_delta_kelvin=1e300)
+        assert main(["derive", "--config",
+                     write_config(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "config error: config.coherence_delta_kelvin "
+                                           "holds 1e+300 K, whose frequency overflows the "
+                                           "float range\n")
+
 
 SWEEP_GEOMETRY = {
     "length_nm": 10.0,
@@ -408,6 +416,16 @@ class TestDecohere:
                      write_config(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
         assert f"config.{key} " in capsys.readouterr().err
 
+    def test_delta_beyond_float_range_in_hz_is_config_error(self, tmp_path, capsys):
+        # rejected before the report prints a line
+        cfg = dict(self.CFG, delta_kelvin=[10.0, 1e300])
+        out = tmp_path / "pt.csv"
+        assert main(["decohere", "--config", write_config(tmp_path, "c.json", cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "config error: config.delta_kelvin holds 1e+300 "
+                                           "K, whose frequency overflows the float range\n")
+        assert not out.exists()
+
     def test_signal_csv(self, tmp_path, capsys):
         out = tmp_path / "pt.csv"
         assert main(["decohere", "--config", write_config(tmp_path, "c.json", self.CFG),
@@ -482,14 +500,16 @@ def test_write_csv_matches_csv_writer(tmp_path):
 
 
 def test_nan_result_is_physics_error(tmp_path, capsys):
-    # 1e300 K is finite in the config but infinite in Hz, so the populations are NaN
-    cfg = {"schema_version": 1, "delta_kelvin": [10.0, 1e300], "time_points": 3}
+    # the time grid of 1e-300 K runs to 1e12 coherence times, beyond the float
+    # range, so its points are NaN
+    cfg = {"schema_version": 1, "delta_kelvin": [10.0, 1e-300], "time_points": 3,
+           "max_time_factor": 1e12}
     out = tmp_path / "pt.csv"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["decohere", "--config", write_config(tmp_path, "c.json", cfg),
                      "--out", str(out)]) == EXIT_PHYSICS
-    assert capsys.readouterr().err == "physics error: column p_coh holds a NaN\n"
+    assert capsys.readouterr().err == "physics error: column t_s holds a NaN\n"
     assert [str(w.message) for w in caught] == []
     assert not out.exists()
 

@@ -16,7 +16,6 @@ from fgqa.decoherence import (
     renormalization_exponent,
     renormalized_tunneling,
     si,
-    spectral_density,
     superohmic_rate,
 )
 
@@ -34,39 +33,6 @@ def si_quadrature(y):
     val, _ = quad(lambda x: 1.0 / x, y, np.inf, weight="sin", wvar=1.0,
                   limlst=200, limit=400, epsabs=1e-12, epsrel=1e-12)
     return -val
-
-
-class TestSpectralDensity:
-    def test_zero_frequency(self):
-        assert spectral_density(0.0, ENV) == 0.0
-
-    def test_superohmic_cubic_scaling(self):
-        pure = PhononEnvironment(ohmic_alpha=0.0)
-        assert spectral_density(2e12, pure) == pytest.approx(
-            8.0 * spectral_density(1e12, pure), rel=1e-12)
-
-    def test_reference_arithmetic(self):
-        # independent evaluation of gamma^2 w^3/(pi rho c^5) + 2 pi^2 hbar alpha w
-        w = 1e12
-        g2 = (10.0 * CONST.electron_charge) ** 2
-        cubic = g2 * w**3 / (math.pi * 2200.0 * 4300.0**5)
-        ohmic = 2.0 * math.pi**2 * CONST.hbar_j_s * 7.05e-9 * w
-        assert spectral_density(w, ENV) == pytest.approx(cubic + ohmic, rel=1e-12)
-
-    def test_damping_rate_consistent_with_spectrum(self):
-        # superohmic rate equals J_cubic(omega)/(4 hbar) at the same frequency
-        pure = PhononEnvironment(ohmic_alpha=0.0)
-        delta = 3.7e9
-        omega = 2.0 * math.pi * delta
-        assert superohmic_rate(delta, pure) == pytest.approx(
-            spectral_density(omega, pure) / (4.0 * CONST.hbar_j_s), rel=1e-12)
-
-    def test_alpha_from_microscopic_parameters(self):
-        env = PhononEnvironment(tls_frequency=2.0e11, tls_length=1e-10)
-        expected = (env.coupling_j**2 * (2.0e11) ** 2
-                    / (2.0 * math.pi**2 * CONST.hbar_j_s * 2200.0 * 4300.0**3
-                       * (1e-10) ** 2))
-        assert env.alpha == pytest.approx(expected, rel=1e-12)
 
 
 class TestRenormalization:

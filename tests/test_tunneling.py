@@ -36,9 +36,10 @@ class TestParticipants:
         assert participants(TALL, 1e-12) < 1e-3
 
     def test_linear_in_volume(self):
-        one = participants(TALL, E_F, volume_scale=1.0)
-        assert participants(TALL, E_F, volume_scale=2.5) == pytest.approx(2.5 * one,
-                                                                          rel=1e-12)
+        taller = CellGeometry(length=15.0, width=15.0, height=250.0, d_ox=3.5,
+                              d_gate=8.1666667)
+        assert participants(taller, E_F) == pytest.approx(2.5 * participants(TALL, E_F),
+                                                          rel=1e-12)
 
     def test_matches_quadrature(self):
         closed = participants(TALL, E_F)
@@ -92,12 +93,6 @@ class TestTunnelAmplitude:
         barrier = TunnelBarrier(d_ox=3.5)
         swing = tunnel_amplitude(TALL, barrier, -1.0) / tunnel_amplitude(TALL, barrier, 1.0)
         assert 1e3 <= swing <= 1e5
-
-    def test_polarity_flag(self):
-        flipped = TunnelBarrier(d_ox=3.5, gate_polarity=1.0)
-        default = TunnelBarrier(d_ox=3.5)
-        assert tunnel_amplitude(TALL, flipped, 1.0) == pytest.approx(
-            tunnel_amplitude(TALL, default, -1.0), rel=1e-12)
 
 
 class TestClassify:
