@@ -40,7 +40,7 @@ annealer-independent enumeration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,7 +165,7 @@ class GroundState:
     states: tuple[str, ...]
 
 
-def chain_model(h, j, delta0: float | None = None) -> IsingModel:
+def chain_model(h, j) -> IsingModel:
     """Open chain with per-site fields ``h`` and per-bond couplings ``j`` (or one for all)."""
     h = np.asarray(h, dtype=float)
     j = np.atleast_1d(np.asarray(j, dtype=float))
@@ -175,7 +175,7 @@ def chain_model(h, j, delta0: float | None = None) -> IsingModel:
     if j.shape != (max(n - 1, 0),):
         raise ValueError(f"expected {n - 1} bond couplings, got {j.shape}")
     couplings = tuple((i, i + 1, float(j[i])) for i in range(n - 1))
-    return IsingModel(n, h, couplings, topology="chain", delta0=delta0)
+    return IsingModel(n, h, couplings, topology="chain")
 
 
 def grid_model(rows: int, cols: int, h, j: float,
@@ -539,8 +539,7 @@ def device_parameters(geom: CellGeometry, mat: MaterialStack, bias: BiasSet | No
                       n_g: float = 0.0, v_cg=None) -> tuple[IsingParameters, float]:
     """Three-cell Ising terms and WKB tunnel amplitude (Hz) of a cell geometry.
 
-    ``bias`` defaults to zero volts; one of another row length lends its
-    first gate, substrate and rail voltages to all three cells.  ``v_cg``
+    ``bias`` (of a three-cell row) defaults to zero volts; ``v_cg``
     defaults to the first gate bias.  The geometry fields and ``v_cg`` may
     be arrays (the points of a sweep): the network, its reduction, the
     Ising terms and the amplitude are then evaluated for every point in
@@ -548,8 +547,6 @@ def device_parameters(geom: CellGeometry, mat: MaterialStack, bias: BiasSet | No
     """
     if bias is None:
         bias = BiasSet.uniform(3)
-    elif bias.m != 3:
-        bias = BiasSet.uniform(3, bias.v_gate[0], bias.v_sub, bias.v_rail[0])
     params = ising_parameters(reduce_network(build_network(geom, mat, 3), bias), n_g)
     v = bias.v_gate[0] if v_cg is None else v_cg
     return params, tunnel_amplitude(geom, TunnelBarrier.from_stack(geom, mat), v)
@@ -565,8 +562,6 @@ def fg_grid_model(geom: CellGeometry, mat: MaterialStack, bias: BiasSet,
     field at gate coordinate ``n_g``; ``delta0`` is the tunnel amplitude
     (eV) at ``v_cg``.  All three come from :func:`device_parameters`.
     """
-    if rows * cols > MAX_SITES:
-        raise ValueError(f"grid has {rows * cols} sites; at most {MAX_SITES} supported")
     params, amplitude = device_parameters(geom, mat, bias, n_g, v_cg)
     return grid_model(rows, cols, h=params.h[1], j=params.j[0],
                       delta0=amplitude / CONST.hz_per_ev)

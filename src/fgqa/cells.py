@@ -31,7 +31,7 @@ points on the trailing axes, so one network holds a whole sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,31 +202,24 @@ class CapacitanceNetwork:
         )
 
 
-def control_oxide_thickness(cr: float, d_ox: float, eps_gate: float | None = None,
-                            eps_ox: float | None = None) -> float:
+def control_oxide_thickness(cr: float, d_ox: float,
+                            mat: MaterialStack = MaterialStack()) -> float:
     """Control-gate oxide thickness realising a target coupling ratio.
 
     Inverts CR = C_gate / (C_gate + C_sub) for two parallel-plate
-    capacitors sharing the same plate area:
-    d_gate = ((1 - CR) / CR) (eps_gate / eps_ox) d_ox.
+    capacitors sharing the same plate area, with the permittivities of
+    ``mat``: d_gate = ((1 - CR) / CR) (eps_gate / eps_ox) d_ox.
     """
     if not 0.0 < cr < 1.0:
         raise ValueError(f"coupling ratio must lie in (0, 1), got {cr!r}")
-    if eps_gate is None and eps_ox is None:
-        ratio = 1.0
-    else:
-        eg = CONST.eps0_f_per_nm * 3.9 if eps_gate is None else eps_gate
-        eo = CONST.eps0_f_per_nm * 3.9 if eps_ox is None else eps_ox
-        ratio = eg / eo
-    return (1.0 - cr) / cr * ratio * d_ox
+    return (1.0 - cr) / cr * (mat.eps_gate / mat.eps_ox) * d_ox
 
 
 def cell_from_coupling_ratio(length: float, height: float, d_ox: float, cr: float,
                              width: float | None = None, gap: float | None = None,
-                             mat: MaterialStack | None = None) -> CellGeometry:
+                             mat: MaterialStack = MaterialStack()) -> CellGeometry:
     """Convenience constructor fixing the CG oxide from a coupling ratio."""
-    mat = mat or MaterialStack()
-    d_gate = control_oxide_thickness(cr, d_ox, mat.eps_gate, mat.eps_ox)
+    d_gate = control_oxide_thickness(cr, d_ox, mat)
     return CellGeometry(length=length, width=length if width is None else width,
                         height=height, d_ox=d_ox, d_gate=d_gate, gap=gap)
 
@@ -278,7 +271,7 @@ def single_electron_margin(geom: CellGeometry, mat: MaterialStack,
     """
     if temperature_k <= 0.0:
         raise ValueError("temperature must be positive")
-    area = geom.length * geom.width
-    c_eff = mat.eps_gate * area / geom.d_gate + mat.eps_ox * area / geom.d_ox
+    net = build_network(geom, mat, 1)
+    c_eff = net.c_gate[0] + net.c_sub[0]
     shift_v = CONST.electron_charge / c_eff
     return shift_v / CONST.ev_per_k / temperature_k

@@ -170,8 +170,6 @@ def reduce_network(net: CapacitanceNetwork, bias: BiasSet) -> ReducedChargingFor
     c_eff = np.empty_like(sigma)
     c_eff[0] = sigma[0]
     for i in (1, 2):
-        if np.any(c_eff[i - 1] <= 0.0):
-            raise ValueError("non-physical network: elimination pivot is not positive")
         c_eff[i] = sigma[i] + net.c_fg[i - 1] - net.c_fg[i - 1]**2 / c_eff[i - 1]
     q_offset, w_bias = _offsets(net, bias.v_gate, bias.v_sub, bias.v_rail)
     return ReducedChargingForm(c_eff=c_eff, q_offset=q_offset, w_bias=w_bias,

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import annealing, charging, decoherence
 from .cells import (BiasSet, CellGeometry, MaterialStack, build_network,
-                    cell_from_coupling_ratio, control_oxide_thickness)
+                    cell_from_coupling_ratio)
 from .constants import convert
 from .tunneling import BarrierCollapseError, TunnelBarrier, classify
 
@@ -213,7 +213,7 @@ def _environment(cfg: dict, where: str = "environment") -> decoherence.PhononEnv
             density=_number(obj, "density_kg_m3", where, d.density, positive=True),
             debye_temperature=_number(obj, "debye_temperature_k", where,
                                       d.debye_temperature, positive=True),
-            ohmic_alpha=_number(obj, "alpha", where, d.ohmic_alpha),
+            alpha=_number(obj, "alpha", where, d.alpha, positive=True),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
@@ -309,12 +309,10 @@ def cmd_derive(cfg: dict, out: str | None) -> int:
     mat = _material(cfg)
     env = _environment(cfg)
     try:
-        d_gate = control_oxide_thickness(cr, d_ox, mat.eps_gate, mat.eps_ox)
+        geom = cell_from_coupling_ratio(lengths, height, d_ox, cr, mat=mat)
     except ValueError as exc:
         raise ConfigError(f"config.coupling_ratio is invalid: {exc}") from exc
     exponent = decoherence.renormalization_exponent(env)
-    geom = CellGeometry(length=lengths, width=lengths, height=height, d_ox=d_ox,
-                        d_gate=d_gate)
     sheet = _datasheet(geom, mat, v_cg)
     devices = classify(geom, TunnelBarrier.from_stack(geom, mat), threshold)
     # without a configured delta, each length's own tunnel amplitude
@@ -517,11 +515,16 @@ def cmd_decohere(cfg: dict, out: str | None) -> int:
     points = _count(cfg, "time_points", "config", 200, minimum=2)
     factor = _number(cfg, "max_time_factor", "config", 3.0, positive=True)
     deltas_hz = _kelvin_to_hz(np.array(deltas_k), "delta_kelvin")
+    t_coh = decoherence.coherence_time(deltas_hz, env.alpha)
+    overflow = ~np.isfinite(factor * t_coh)
+    if overflow.any():              # an infinite t_coh is the delta's fault
+        key = "delta_kelvin" if np.isinf(t_coh[overflow][0]) else "max_time_factor"
+        raise ConfigError(f"config.{key} puts the time grid of "
+                          f"{deltas_k[np.argmax(overflow)]!r} K beyond the float range")
 
     exponent = decoherence.renormalization_exponent(env)
     print(f"renormalization exponent: {exponent!r}")
     print(f"ohmic alpha: {env.alpha!r}")
-    t_coh = decoherence.coherence_time(deltas_hz, env.alpha)
     for dk, delta_hz, tc in zip(deltas_k, deltas_hz.tolist(), t_coh.tolist()):
         rate = decoherence.superohmic_rate(delta_hz, env)
         print(f"delta = {dk!r} K = {delta_hz!r} Hz: "

@@ -39,7 +39,6 @@ class Constants:
     electron_mass: float = 9.1093837015e-31   # kg
     bohr_radius_nm: float = 0.0529            # nm
     rydberg_ev: float = 13.6                  # eV
-    planck_j_s: float = 6.62607015e-34        # J s
     hbar_j_s: float = 1.054571817e-34         # J s
     hbar_ev_s: float = 6.582119569e-16        # eV s
     eps0_f_per_nm: float = 8.854e-21          # vacuum permittivity, F/nm

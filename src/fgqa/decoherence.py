@@ -59,24 +59,25 @@ _EULER_GAMMA = 0.5772156649015328606
 class PhononEnvironment:
     """Acoustic-phonon bath of the oxide stack.
 
-    The default ``ohmic_alpha`` comes from the microscopic two-level
-    formula alpha = gamma^2 nu^2 / (2 pi^2 hbar rho c^3 d^2), with nu and
-    d the parameters of the oxide's two-level systems.
+    The ohmic strength ``alpha`` must be positive.  Its default comes from
+    the microscopic two-level formula alpha = gamma^2 nu^2 / (2 pi^2 hbar
+    rho c^3 d^2), with nu and d the parameters of the oxide's two-level
+    systems.
     """
 
     coupling_ev: float = 10.0          # deformation coupling gamma, eV
     sound_speed: float = 4300.0        # c, m/s
     density: float = 2200.0            # rho, kg/m^3
     debye_temperature: float = 450.0   # K; omega_c = k_B T_D / hbar
-    ohmic_alpha: float = 7.05e-9       # dimensionless ohmic strength
+    alpha: float = 7.05e-9             # dimensionless ohmic strength
 
     def __post_init__(self):
         if self.coupling_ev <= 0.0 or self.sound_speed <= 0.0 or self.density <= 0.0:
             raise ValueError("coupling, sound speed and density must be positive")
         if self.debye_temperature <= 0.0:
             raise ValueError("Debye temperature must be positive")
-        if self.ohmic_alpha < 0.0:
-            raise ValueError("ohmic_alpha must be non-negative")
+        if self.alpha <= 0.0:
+            raise ValueError("alpha must be positive")
 
     @property
     def coupling_j(self) -> float:
@@ -86,11 +87,6 @@ class PhononEnvironment:
     def omega_c(self) -> float:
         """Debye cutoff, rad/s."""
         return CONST.boltzmann_j * self.debye_temperature / CONST.hbar_j_s
-
-    @property
-    def alpha(self) -> float:
-        """Dimensionless ohmic coupling strength."""
-        return self.ohmic_alpha
 
 
 def renormalization_exponent(env: PhononEnvironment) -> float:

@@ -15,7 +15,9 @@ rigid shift of the floating-gate Fermi level, E_F' = E_F - V_CG
 (negative gate bias raises the level and switches tunneling on); the
 equilibrium electron count N_L is set by the doping alone.  The cell
 geometry, the oxide thickness and the gate voltage may be arrays (the
-points of a sweep); the amplitude is then an array too.
+points of a sweep); the amplitude is then an array too.  The barrier
+height, effective masses and doping default to those of the gate stack,
+:class:`~fgqa.cells.MaterialStack`, which also sets the capacitances.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .cells import CellGeometry, MaterialStack
 import numpy as np
 
+from .cells import CellGeometry, MaterialStack
 from .constants import CONST, fermi_energy, float_or_array
 
 __all__ = [
@@ -54,11 +56,11 @@ class DeviceClass(enum.Enum):
 class TunnelBarrier:
     """Barrier stack seen by electrons leaving the floating gate."""
 
-    d_ox: float | np.ndarray       # tunnel-oxide thickness, nm
-    barrier_ev: float = 3.1        # barrier height V_ox, eV
-    m_ox: float = 0.5              # barrier effective mass / m0
-    m_si: float = 0.19             # silicon effective mass / m0
-    doping_cm3: float = 1e20       # FG carrier density, cm^-3
+    d_ox: float | np.ndarray                        # tunnel-oxide thickness, nm
+    barrier_ev: float = MaterialStack.barrier_ev    # barrier height V_ox, eV
+    m_ox: float = MaterialStack.m_ox                # barrier effective mass / m0
+    m_si: float = MaterialStack.m_si                # silicon effective mass / m0
+    doping_cm3: float = MaterialStack.doping_cm3    # FG carrier density, cm^-3
 
     def __post_init__(self):
         if np.any(np.less_equal(self.d_ox, 0.0)):
@@ -80,7 +82,8 @@ class TunnelBarrier:
         return fermi_energy(self.doping_cm3, self.m_si)
 
 
-def participants(geom: CellGeometry, e_f_ev: float, m_eff: float = 0.19) -> float:
+def participants(geom: CellGeometry, e_f_ev: float,
+                 m_eff: float = MaterialStack.m_si) -> float:
     """Electrons taking part in tunneling on one side of the barrier.
 
     Counts every electron in the participating volume v (both spins and

@@ -470,16 +470,13 @@ class TestFgGridModel:
         (BiasSet.uniform(3), 0.0, None),
         (BiasSet.uniform(3), 0.0, -1.7),
         (BiasSet((0.2, -0.1, 0.3), 0.05, (0.0, 0.1, 0.0, -0.1)), 0.02, None),
-        (BiasSet.uniform(5, 0.3, -0.2, 0.1), -0.01, 0.4),
     ])
     def test_device_parameters_match_inline_chain(self, bias, n_g, v_cg):
         # the network -> Ising -> tunnel chain fg_grid_model spelled out before
-        bias3 = bias if bias.m == 3 else BiasSet.uniform(3, bias.v_gate[0], bias.v_sub,
-                                                         bias.v_rail[0])
         params = ising_parameters(reduce_network(build_network(self.GEOM, self.MAT, 3),
-                                                 bias3), n_g)
+                                                 bias), n_g)
         amplitude = tunnel_amplitude(self.GEOM, TunnelBarrier.from_stack(self.GEOM, self.MAT),
-                                     bias3.v_gate[0] if v_cg is None else v_cg)
+                                     bias.v_gate[0] if v_cg is None else v_cg)
         assert device_parameters(self.GEOM, self.MAT, bias, n_g, v_cg) == (params, amplitude)
         if bias == BiasSet.uniform(3):
             assert device_parameters(self.GEOM, self.MAT, n_g=n_g, v_cg=v_cg) == \

@@ -25,6 +25,14 @@ class TestControlOxideThickness:
     def test_thinner_oxide_reference(self):
         assert control_oxide_thickness(0.3, 3.0) == pytest.approx(7.0, rel=1e-12)
 
+    def test_permittivity_ratio_of_the_stack(self):
+        a, b = 3.0e-20, 6.5e-20
+        assert control_oxide_thickness(0.3, 3.5, MaterialStack(eps_ox=a, eps_gate=b)) == \
+            (1.0 - 0.3) / 0.3 * (b / a) * 3.5
+        # a missing gate permittivity follows the tunnel oxide's
+        assert control_oxide_thickness(0.3, 3.5, MaterialStack(eps_ox=a)) == \
+            control_oxide_thickness(0.3, 3.5)
+
     @pytest.mark.parametrize("cr", [0.0, 1.0, -0.2, 1.5])
     def test_rejects_out_of_range_ratio(self, cr):
         with pytest.raises(ValueError):

@@ -135,6 +135,7 @@ class TestDerive:
         ("lengths_nm", [5.0, True]),
         ("lengths_nm", [5.0, float("inf")]),
         ("tunnel_oxide_nm", float("nan")),
+        ("coupling_ratio", 1e-320),         # a gate oxide beyond the float range
     ])
     def test_bad_key_is_config_error(self, tmp_path, capsys, key, value):
         cfg = dict(DERIVE_CFG, **{key: value})
@@ -426,6 +427,22 @@ class TestDecohere:
                                            "K, whose frequency overflows the float range\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("changes, key, delta", [
+        ({"delta_kelvin": [10.0, 1e-300], "max_time_factor": 1e12}, "max_time_factor",
+         "1e-300"),
+        ({"delta_kelvin": [1e-312]}, "delta_kelvin", "1e-312"),    # t_coh is infinite
+    ])
+    def test_time_grid_beyond_float_range_is_config_error(self, tmp_path, capsys,
+                                                          changes, key, delta):
+        # rejected before the report prints a line
+        out = tmp_path / "pt.csv"
+        assert main(["decohere", "--config", write_config(tmp_path, "c.json",
+                                                          dict(self.CFG, **changes)),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: config.{key} puts the time grid "
+                                           f"of {delta} K beyond the float range\n")
+        assert not out.exists()
+
     def test_signal_csv(self, tmp_path, capsys):
         out = tmp_path / "pt.csv"
         assert main(["decohere", "--config", write_config(tmp_path, "c.json", self.CFG),
@@ -442,6 +459,16 @@ class TestDecohere:
             delta = convert(dk, "K", "Hz")
             assert (pc, pi) == (p_coherent(t, delta, alpha), p_incoherent(t, delta, alpha))
             assert total == pc + pi
+
+
+@pytest.mark.parametrize("alpha", [0, -1])
+@pytest.mark.parametrize("command, cfg", [("derive", DERIVE_CFG),
+                                          ("decohere", TestDecohere.CFG)])
+def test_non_positive_alpha_is_config_error(tmp_path, capsys, command, cfg, alpha):
+    cfg = dict(cfg, environment={"alpha": alpha})
+    assert main([command, "--config", write_config(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: environment.alpha must be positive, "
+                                       f"got {alpha}\n")
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -500,16 +527,16 @@ def test_write_csv_matches_csv_writer(tmp_path):
 
 
 def test_nan_result_is_physics_error(tmp_path, capsys):
-    # the time grid of 1e-300 K runs to 1e12 coherence times, beyond the float
-    # range, so its points are NaN
-    cfg = {"schema_version": 1, "delta_kelvin": [10.0, 1e-300], "time_points": 3,
-           "max_time_factor": 1e12}
+    # with so weak a damping the time grid, though finite, runs so far that
+    # delta * t overflows, and the coherent part cos(inf) is NaN
+    cfg = {"schema_version": 1, "delta_kelvin": [10.0, 50.0], "time_points": 7,
+           "environment": {"alpha": 1e-310}}
     out = tmp_path / "pt.csv"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["decohere", "--config", write_config(tmp_path, "c.json", cfg),
                      "--out", str(out)]) == EXIT_PHYSICS
-    assert capsys.readouterr().err == "physics error: column t_s holds a NaN\n"
+    assert capsys.readouterr().err == "physics error: column p_coh holds a NaN\n"
     assert [str(w.message) for w in caught] == []
     assert not out.exists()
 

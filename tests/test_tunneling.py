@@ -1,10 +1,11 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fgqa.cells import CellGeometry
+from fgqa.cells import CellGeometry, MaterialStack
 from fgqa.constants import CONST, fermi_energy
 from fgqa.tunneling import (
     BarrierCollapseError,
@@ -48,6 +49,12 @@ class TestParticipants:
     def test_counts_all_carriers(self):
         # v * n at the reference doping: 15*15*100 nm^3 * 0.1 nm^-3
         assert participants(TALL, E_F) == pytest.approx(2250.0, rel=1e-9)
+
+
+class TestStackDefaults:
+    def test_barrier_defaults_are_the_stack_defaults(self):
+        assert asdict(TunnelBarrier(d_ox=TALL.d_ox)) == \
+            asdict(TunnelBarrier.from_stack(TALL, MaterialStack()))
 
 
 class TestTunnelAmplitude:
