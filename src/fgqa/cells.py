@@ -155,7 +155,9 @@ class CapacitanceNetwork:
     """Branch capacitances (F) of an M-cell row; see the module docstring.
 
     Every array is indexed by cell first; trailing axes, all of one
-    shape, index independent rows (the points of a sweep).
+    shape, index independent rows (the points of a sweep).  The arrays
+    are read-only float copies of those passed in, so a network never
+    changes after construction and can stand for its values by identity.
     """
 
     c_gate: np.ndarray
@@ -167,7 +169,7 @@ class CapacitanceNetwork:
     c_drain: np.ndarray
 
     def __post_init__(self):
-        arrays = {name: np.asarray(getattr(self, name), dtype=float)
+        arrays = {name: np.array(getattr(self, name), dtype=float)
                   for name in ("c_gate", "c_sub", "c_fg", "c_gate_left",
                                "c_gate_right", "c_source", "c_drain")}
         shape = arrays["c_gate"].shape
@@ -176,6 +178,7 @@ class CapacitanceNetwork:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be non-negative and finite")
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if np.any(self.c_fg[-1] != 0.0) or np.any(self.c_gate_right[-1] != 0.0):
             raise ValueError("last cell has no right-hand neighbour; its c_fg and "
@@ -192,13 +195,13 @@ class CapacitanceNetwork:
         """The same row traversed in the opposite direction."""
         rev = slice(None, None, -1)
         return CapacitanceNetwork(
-            c_gate=self.c_gate[rev].copy(),
-            c_sub=self.c_sub[rev].copy(),
+            c_gate=self.c_gate[rev],
+            c_sub=self.c_sub[rev],
             c_fg=np.r_[self.c_fg[rev][1:], 0.0],
-            c_gate_left=self.c_gate_right[rev].copy(),
-            c_gate_right=self.c_gate_left[rev].copy(),
-            c_source=self.c_drain[rev].copy(),
-            c_drain=self.c_source[rev].copy(),
+            c_gate_left=self.c_gate_right[rev],
+            c_gate_right=self.c_gate_left[rev],
+            c_source=self.c_drain[rev],
+            c_drain=self.c_source[rev],
         )
 
 

@@ -20,9 +20,9 @@ which solves the original constrained quadratic programme over all
 branch charges exactly: the diagonal branch block of its KKT system is
 eliminated, and the m x m island system left is assembled from one
 branch table, ``_branches`` ((kind, island, C, V) arrays of every branch
-with C > 0), and solved as a general dense system.  It shares no formula
-with the closed form: no pivots, and the energy is summed over the
-branch charges.
+with C > 0), and inverted as a general dense matrix.  It shares no
+formula with the closed form: no pivots, and the energy is summed over
+the branch charges.
 
 Near the degeneracy point between ``n_i`` and ``n_i + 1`` electrons the
 two charge states form a qubit, and expanding the quadratic form on
@@ -42,11 +42,16 @@ array-valued geometry (cells first, sweep points on the trailing axes)
 is reduced and expanded for every point in one call, and
 :func:`parabola_family` reduces its network once and evaluates only the
 bias-dependent offset charge over the voltage grid.  The oracle takes
-one scalar network at a time.
+one scalar network and one occupation per call; everything that depends
+on the network and bias alone (branch table, incidence, the inverse of
+the island matrix and its bias charge) is set up once for the last
+(network, bias) pair, so a scan over the 2^M corner occupations of a row
+pays for one set-up.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,6 +232,30 @@ def _branches(net: CapacitanceNetwork, bias: BiasSet):
     return kind, island, caps[island, kind], volts[island, kind]
 
 
+@functools.lru_cache(maxsize=1)
+def _island_system(net: CapacitanceNetwork, bias: BiasSet):
+    """What the oracle needs of one (network, bias): the branch capacitances
+    and voltages of ``_branches``, the (m, branches) island incidence A, the
+    inverse of the island matrix A diag(C) A^T and the bias charge A (C V).
+
+    Only the last pair is kept, so a scan over occupations sets up once.  The
+    network is keyed by identity, which is sound because its arrays are
+    read-only copies; the bias is keyed by value.
+    """
+    kind, island, cap, volt = _branches(net, bias)
+    fg = np.flatnonzero(kind == _FG)
+    incidence = np.zeros((net.m, cap.size))
+    incidence[island, np.arange(cap.size)] = 1.0
+    incidence[island[fg] + 1, fg] = -1.0
+    weighted = incidence * cap
+    try:
+        k_inv = np.linalg.inv(weighted @ incidence.T)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"singular charge-constraint system (non-physical "
+                         f"network): {exc}") from exc
+    return cap, volt, incidence, k_inv, weighted @ volt
+
+
 def minimize_charge_oracle(net: CapacitanceNetwork, bias: BiasSet, n) -> float:
     """Charging energy (eV) by direct constrained minimisation.
 
@@ -241,9 +270,12 @@ def minimize_charge_oracle(net: CapacitanceNetwork, bias: BiasSet, n) -> float:
 
         (A diag(C) A^T) lam = n e + A (C V)
 
-    is solved.  Works for any row length; serves as the independent
-    cross-check of :func:`charging_energy`, whose pivots and offsets it
-    never uses.
+    is left.  Its matrix and right-hand bias term depend on the network
+    and bias alone: they are set up and inverted once for the last
+    (network, bias) pair, so each call for another occupation costs one
+    m x m product and the branch sums.  Works for any row length; serves
+    as the independent cross-check of :func:`charging_energy`, whose
+    pivots and offsets it never uses.
     """
     n = np.asarray(n, dtype=float)
     m = net.m
@@ -251,17 +283,8 @@ def minimize_charge_oracle(net: CapacitanceNetwork, bias: BiasSet, n) -> float:
         raise ValueError(f"expected {m} occupation numbers, got shape {n.shape}")
     if bias.m != m:
         raise ValueError("bias and network cell counts differ")
-    kind, island, cap, volt = _branches(net, bias)
-    fg = np.flatnonzero(kind == _FG)
-    incidence = np.zeros((m, cap.size))
-    incidence[island, np.arange(cap.size)] = 1.0
-    incidence[island[fg] + 1, fg] = -1.0
-    weighted = incidence * cap
-    try:
-        lam = np.linalg.solve(weighted @ incidence.T, n * _E + weighted @ volt)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular charge-constraint system (non-physical "
-                         f"network): {exc}") from exc
+    cap, volt, incidence, k_inv, bias_charge = _island_system(net, bias)
+    lam = k_inv @ (n * _E + bias_charge)
     q = cap * (volt - lam @ incidence)
     return float(np.sum(q * (q / (2.0 * cap) - volt))) / _E
 

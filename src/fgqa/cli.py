@@ -168,7 +168,7 @@ def _material(cfg: dict, where: str = "material") -> MaterialStack:
     try:
         return MaterialStack(
             eps_ox=_number(obj, "eps_ox_f_per_nm", where, defaults.eps_ox, positive=True),
-            eps_gate=_number(obj, "eps_gate_f_per_nm", where, None),
+            eps_gate=_number(obj, "eps_gate_f_per_nm", where, None, positive=True),
             barrier_ev=_number(obj, "barrier_ev", where, defaults.barrier_ev, positive=True),
             m_ox=_number(obj, "m_ox", where, defaults.m_ox, positive=True),
             m_si=_number(obj, "m_si", where, defaults.m_si, positive=True),
@@ -220,13 +220,17 @@ def _environment(cfg: dict, where: str = "environment") -> decoherence.PhononEnv
 
 
 def _kelvin_to_hz(kelvin, key: str):
-    """``kelvin`` (a number or an array) converted to Hz; a value whose
-    frequency overflows the float range is an error naming ``key``."""
+    """``kelvin`` (a positive number or array) converted to Hz; a value
+    whose frequency overflows the float range or underflows to 0 Hz is an
+    error naming ``key``."""
     hz = convert(kelvin, "K", "Hz")
-    overflow = ~np.isfinite(np.ravel(hz))
-    if overflow.any():
-        raise ConfigError(f"config.{key} holds {np.ravel(kelvin)[overflow][0].item()!r} K, "
-                          f"whose frequency overflows the float range")
+    flat = np.ravel(hz)
+    bad = ~(np.isfinite(flat) & (flat > 0.0))
+    if bad.any():
+        k = np.argmax(bad)
+        fate = "underflows to 0 Hz" if flat[k] == 0.0 else "overflows the float range"
+        raise ConfigError(f"config.{key} holds {np.ravel(kelvin)[k].item()!r} K, "
+                          f"whose frequency {fate}")
     return hz
 
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import random_bias, random_network
+from fgqa import charging
 from fgqa.cells import BiasSet, CapacitanceNetwork, MaterialStack, build_network, cell_from_coupling_ratio
 from fgqa.charging import (
     charging_energy,
@@ -231,9 +232,10 @@ class TestOracleAgainstDenseKKT:
         empty = CapacitanceNetwork(**fields)
         with pytest.raises(ValueError) as expected:
             dense_kkt(empty, bias, n)
-        with pytest.raises(ValueError) as got:
-            minimize_charge_oracle(empty, bias, n)
-        assert str(got.value) == str(expected.value)
+        for _ in range(2):                      # a failed set-up is not remembered
+            with pytest.raises(ValueError) as got:
+                minimize_charge_oracle(empty, bias, n)
+            assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("m", range(3, 11))
     def test_corner_energies_are_quadratic(self, m):
@@ -244,6 +246,42 @@ class TestOracleAgainstDenseKKT:
         energies = np.array([minimize_charge_oracle(net, bias, n0 + b) for b in bits])
         worst = np.max(np.abs(third_differences(m, energies)))
         assert worst <= 1e-9 * np.max(np.abs(energies))
+
+
+class TestOracleSetUpReuse:
+    def test_corner_scan_builds_one_branch_table(self, monkeypatch):
+        calls = []
+        branches = charging._branches
+        monkeypatch.setattr(charging, "_branches",
+                            lambda net, bias: calls.append(net) or branches(net, bias))
+        m = 6
+        net, bias, n0 = random_row(np.random.default_rng(17), m)
+        bits = (np.arange(1 << m)[:, None] >> np.arange(m)[::-1]) & 1
+        for b in bits:
+            minimize_charge_oracle(net, bias, n0 + b)
+        assert calls == [net]
+
+    def test_alternating_networks_and_biases_match_dense_kkt(self):
+        rng = np.random.default_rng(19)
+        net_a, bias_a, n = random_row(rng, 5)
+        net_b, bias_b, _ = random_row(rng, 5)
+        assert bias_a != bias_b
+        for net, bias in ((net_a, bias_a), (net_b, bias_b), (net_a, bias_a),
+                          (net_a, bias_b), (net_a, bias_a)):
+            assert minimize_charge_oracle(net, bias, n) == pytest.approx(
+                dense_kkt(net, bias, n)[0], rel=1e-12, abs=0.0)
+
+    def test_network_arrays_are_read_only_copies(self):
+        # the oracle's set-up is keyed by the network's identity, so its
+        # values must not change after construction
+        c_gate = np.array([2e-19, 3e-19])
+        net = CapacitanceNetwork(c_gate=c_gate, c_sub=[5e-19, 5e-19], c_fg=[1e-19, 0.0],
+                                 c_gate_left=[0.0, 1e-20], c_gate_right=[1e-20, 0.0],
+                                 c_source=[1e-19, 1e-19], c_drain=[1e-19, 1e-19])
+        with pytest.raises(ValueError):
+            net.c_gate[0] = 1e-19
+        c_gate[0] = 1e-19
+        assert net.c_gate[0] == 2e-19
 
 
 class TestIsingParameters:

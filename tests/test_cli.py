@@ -136,12 +136,15 @@ class TestDerive:
         ("lengths_nm", [5.0, float("inf")]),
         ("tunnel_oxide_nm", float("nan")),
         ("coupling_ratio", 1e-320),         # a gate oxide beyond the float range
+        ("material", {"eps_gate_f_per_nm": -1}),
     ])
     def test_bad_key_is_config_error(self, tmp_path, capsys, key, value):
         cfg = dict(DERIVE_CFG, **{key: value})
         assert main(["derive", "--config",
                      write_config(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
-        assert f"config.{key} " in capsys.readouterr().err
+        # a bad key of a nested object is named under that object
+        name = f"{key}.{next(iter(value))}" if isinstance(value, dict) else f"config.{key}"
+        assert f"{name} " in capsys.readouterr().err
 
     def test_delta_beyond_float_range_in_hz_is_config_error(self, tmp_path, capsys):
         cfg = dict(DERIVE_CFG, coherence_delta_kelvin=1e300)
@@ -150,6 +153,14 @@ class TestDerive:
         assert capsys.readouterr() == ("", "config error: config.coherence_delta_kelvin "
                                            "holds 1e+300 K, whose frequency overflows the "
                                            "float range\n")
+
+    def test_delta_underflowing_to_zero_hz_is_config_error(self, tmp_path, capsys):
+        cfg = dict(DERIVE_CFG, coherence_delta_kelvin=1e-320)
+        assert main(["derive", "--config",
+                     write_config(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "config error: config.coherence_delta_kelvin "
+                                           "holds 1e-320 K, whose frequency underflows to "
+                                           "0 Hz\n")
 
 
 SWEEP_GEOMETRY = {
@@ -425,6 +436,16 @@ class TestDecohere:
                      "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr() == ("", "config error: config.delta_kelvin holds 1e+300 "
                                            "K, whose frequency overflows the float range\n")
+        assert not out.exists()
+
+    def test_delta_underflowing_to_zero_hz_is_config_error(self, tmp_path, capsys):
+        # rejected before the report prints a line
+        cfg = dict(self.CFG, delta_kelvin=[10.0, 1e-320])
+        out = tmp_path / "pt.csv"
+        assert main(["decohere", "--config", write_config(tmp_path, "c.json", cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "config error: config.delta_kelvin holds 1e-320 "
+                                           "K, whose frequency underflows to 0 Hz\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("changes, key, delta", [
