@@ -11,7 +11,8 @@ schemas) and all deterministic for a fixed config and seed:
 Every CSV starts with a commented header recording the subcommand, the
 SHA-256 of the canonical config, and the column names, so outputs are
 reproducible byte for byte.  Exit codes: 0 success, 2 configuration
-error, 3 physics/numerics precondition failure.
+error, 3 physics/numerics precondition failure, which includes a float
+overflow and a grid or step count beyond memory.
 
 Each command evaluates its formulas once, on arrays: ``sweep`` passes its
 whole grid as one array-valued geometry (or gate voltage) to
@@ -29,6 +30,7 @@ import hashlib
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -75,40 +77,34 @@ def config_hash(cfg: dict) -> str:
 def _load(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
+            return parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    version = cfg.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
-    return cfg
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
+# Each config object has a key table, key -> (reader, default).  A reader is
+# called as reader(value, dotted name); one with bounds is a functools.partial
+# whose keywords name them as hypothesis does.  An absent key reads its
+# default, unless that is REQUIRED or OMIT (left out: a dataclass default applies).
+REQUIRED = object()
+OMIT = object()
+
+
+def _read(obj: dict, table: dict, where: str) -> dict:
+    """The values of ``obj``, the config object named ``where``, by key."""
+    unknown = sorted(set(obj) - set(table))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-
-
-def _number(obj: dict, key: str, where: str, default=None, required=False,
-            positive=False):
-    """A number; a sweep grid (an array) under ``key`` is checked point by
-    point and returned as it is."""
-    if key not in obj:
-        if required:
-            raise ConfigError(f"missing required key {key!r} in {where}")
-        return default
-    v = obj[key]
-    if isinstance(v, np.ndarray):
-        bad = ~np.isfinite(v) | (positive & (v <= 0))
-        if not bad.any():
-            return v
-        v = v[bad][0].item()            # the first point the checks below reject
-    if not _is_number(v):
-        raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
-    if positive and v <= 0:
-        raise ConfigError(f"{where}.{key} must be positive, got {v}")
-    return float(v)
+    values = {}
+    for key, (reader, default) in table.items():
+        name = f"{where}.{key}"
+        if key in obj:
+            values[key] = reader(obj[key], name)
+        elif default is REQUIRED:
+            raise ConfigError(f"{name} is required")
+        elif default is not OMIT:
+            values[key] = reader(default, name)
+    return values
 
 
 def _is_number(v, positive=False) -> bool:
@@ -122,99 +118,108 @@ def _is_number(v, positive=False) -> bool:
         return False
 
 
-def _numbers(obj: dict, key: str, where: str, default, scalar: bool, positive=False):
-    """A list of numbers, or with ``scalar`` also a single number."""
-    v = obj.get(key, default)
-    if scalar and _is_number(v, positive):
-        return float(v)
-    if not isinstance(v, list) or not all(_is_number(x, positive) for x in v):
-        kind = "positive numbers" if positive else "numbers"
+def _number(value, name, min_value=-math.inf, max_value=math.inf, exclude_min=False,
+            exclude_max=False) -> float:
+    """A number within the bounds."""
+    if not _is_number(value):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if ((value <= min_value if exclude_min else value < min_value)
+            or (value >= max_value if exclude_max else value > max_value)):
+        interval = (f"{'(' if exclude_min else '['}{min_value:g}, {max_value:g}"
+                    f"{')' if exclude_max or max_value == math.inf else ']'}")
+        bounds = "positive" if interval == "(0, inf)" else f"in {interval}"
+        raise ConfigError(f"{name} must be {bounds}, got {value}")
+    return float(value)
+
+
+_positive = partial(_number, min_value=0.0, exclude_min=True)
+_ratio = partial(_number, min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+def _count(value, name, min_value=1, max_value=math.inf) -> int:
+    """An integer from ``min_value`` to ``max_value``."""
+    if type(value) is not int or not min_value <= value <= max_value:    # bool is not int
+        kind = (f"an integer from {min_value} to {max_value}" if max_value < math.inf
+                else "a positive integer" if min_value == 1 else f"an integer >= {min_value}")
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
+def _numbers(value, name, scalar=False, positive=False, integral=False, min_size=0,
+             max_size=math.inf):
+    """A list of ``min_size`` to ``max_size`` numbers (integers with
+    ``integral``), or with ``scalar`` also a single number."""
+    if scalar and _is_number(value, positive):
+        return float(value)
+    if (not isinstance(value, list) or not min_size <= len(value) <= max_size
+            or not all(_is_number(x, positive) and (not integral or float(x).is_integer())
+                       for x in value)):
+        size = (f"{min_size} to {max_size} " if max_size < math.inf
+                else f"at least {min_size} " if min_size else "")
+        kind = f"{size}{'positive ' * positive}{'integers' if integral else 'numbers'}"
         kind = f"a number or a list of {kind}" if scalar else f"a list of {kind}"
-        raise ConfigError(f"{where}.{key} must be {kind}, got {v!r}")
-    return [float(x) for x in v]
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return [int(x) if integral else x for x in map(float, value)]
 
 
-def _count(obj: dict, key: str, where: str, default=None, required=False,
-           minimum=1) -> int | None:
-    """An integer of at least ``minimum``."""
-    if key not in obj:
-        if required:
-            raise ConfigError(f"missing required key {key!r} in {where}")
-        return default
-    v = obj[key]
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        kind = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
-        raise ConfigError(f"{where}.{key} must be {kind}, got {v!r}")
-    return v
+def _choice(value, name, options):
+    """One of ``options``, and of its type: true is not 1, nor 1.0."""
+    if not any(type(value) is type(o) and value == o for o in options):
+        raise ConfigError(f"{name} must be one of {', '.join(map(json.dumps, options))}, "
+                          f"got {value!r}")
+    return value
 
 
-def _object(obj: dict, key: str, where: str, allowed: set[str] | None = None,
-            required=False) -> dict:
-    """The JSON object under ``key`` (named ``where``); {} when absent."""
-    if required and key not in obj:
-        raise ConfigError(f"missing required object {where!r}")
-    v = obj.get(key, {})
-    if not isinstance(v, dict):
-        raise ConfigError(f"{where} must be an object")
-    if allowed is not None:
-        _check_keys(v, allowed, where)
-    return v
+def _nested(value, name, table, build=dict):
+    """The object ``value`` read through its key ``table``, passed to ``build``.
+    Its keys are named under ``name`` less the ``config.`` of the top level."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object")
+    return build(_read(value, table, name.removeprefix("config.")))
 
 
-def _material(cfg: dict, where: str = "material") -> MaterialStack:
-    obj = _object(cfg, "material", where, {"eps_ox_f_per_nm", "eps_gate_f_per_nm",
-                                           "barrier_ev", "m_ox", "m_si", "doping_cm3"})
-    defaults = MaterialStack()
-    try:
-        return MaterialStack(
-            eps_ox=_number(obj, "eps_ox_f_per_nm", where, defaults.eps_ox, positive=True),
-            eps_gate=_number(obj, "eps_gate_f_per_nm", where, None, positive=True),
-            barrier_ev=_number(obj, "barrier_ev", where, defaults.barrier_ev, positive=True),
-            m_ox=_number(obj, "m_ox", where, defaults.m_ox, positive=True),
-            m_si=_number(obj, "m_si", where, defaults.m_si, positive=True),
-            doping_cm3=_number(obj, "doping_cm3", where, defaults.doping_cm3, positive=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
+def _edges(value, name, sites):
+    """A non-empty list of [i, j] or [i, j, weight] edges; ``maxcut_to_ising``
+    rejects self-loops and weights that are not positive."""
+    if not (isinstance(value, list) and value and all(
+            isinstance(e, list) and len(e) in (2, 3) and all(map(_is_number, e[2:]))
+            and all(type(v) is int and 0 <= v < sites for v in e[:2]) for e in value)):
+        raise ConfigError(f"{name} must be a non-empty list of edges [i, j] or [i, j, weight] "
+                          f"with sites below {sites}, got {value!r}")
+    return value
 
 
-def _geometry(obj: dict, mat: MaterialStack, where: str = "geometry") -> CellGeometry:
-    _check_keys(obj, {"length_nm", "width_nm", "height_nm", "tunnel_oxide_nm",
-                      "gate_oxide_nm", "coupling_ratio", "gap_nm"}, where)
-    length = _number(obj, "length_nm", where, required=True, positive=True)
-    height = _number(obj, "height_nm", where, required=True, positive=True)
-    d_ox = _number(obj, "tunnel_oxide_nm", where, required=True, positive=True)
-    width = _number(obj, "width_nm", where, None, positive=True)
-    gap = _number(obj, "gap_nm", where, None, positive=True)
-    has_cr = "coupling_ratio" in obj
-    has_dg = "gate_oxide_nm" in obj
-    if has_cr == has_dg:
+def _dataclass(cls, fields: dict) -> tuple:
+    """The table entry of an optional object whose keys, each a positive
+    number, set the ``fields`` of ``cls``; an absent key keeps its default."""
+    return (partial(_nested, table=dict.fromkeys(fields, (_positive, OMIT)),
+                    build=lambda v: cls(**{fields[k]: x for k, x in v.items()})), {})
+
+
+_VERSION = (partial(_choice, options=(SCHEMA_VERSION,)), REQUIRED)
+_MATERIAL = _dataclass(MaterialStack, {
+    "eps_ox_f_per_nm": "eps_ox", "eps_gate_f_per_nm": "eps_gate", "barrier_ev": "barrier_ev",
+    "m_ox": "m_ox", "m_si": "m_si", "doping_cm3": "doping_cm3"})
+_ENVIRONMENT = _dataclass(decoherence.PhononEnvironment, {
+    "gamma_ev": "coupling_ev", "sound_speed_m_s": "sound_speed", "density_kg_m3": "density",
+    "debye_temperature_k": "debye_temperature", "alpha": "alpha"})
+_GEOMETRY_KEYS = {"length_nm": (_positive, REQUIRED), "width_nm": (_positive, OMIT),
+                  "height_nm": (_positive, REQUIRED), "tunnel_oxide_nm": (_positive, REQUIRED),
+                  "gate_oxide_nm": (_positive, OMIT), "coupling_ratio": (_ratio, OMIT),
+                  "gap_nm": (_positive, OMIT)}
+_GEOMETRY = (partial(_nested, table=_GEOMETRY_KEYS), REQUIRED)
+
+
+def _geometry(g: dict, mat: MaterialStack, where: str = "geometry") -> CellGeometry:
+    """The cell of the values ``g`` of a geometry object named ``where``."""
+    if ("coupling_ratio" in g) == ("gate_oxide_nm" in g):
         raise ConfigError(f"{where} needs exactly one of coupling_ratio or gate_oxide_nm")
+    cell = dict(length=g["length_nm"], width=g.get("width_nm", g["length_nm"]),
+                height=g["height_nm"], d_ox=g["tunnel_oxide_nm"], gap=g.get("gap_nm"))
     try:
-        if has_cr:
-            cr = _number(obj, "coupling_ratio", where, required=True)
-            return cell_from_coupling_ratio(length, height, d_ox, cr,
-                                            width=width, gap=gap, mat=mat)
-        d_gate = _number(obj, "gate_oxide_nm", where, required=True, positive=True)
-        return CellGeometry(length=length, width=length if width is None else width,
-                            height=height, d_ox=d_ox, d_gate=d_gate, gap=gap)
-    except ValueError as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
-
-
-def _environment(cfg: dict, where: str = "environment") -> decoherence.PhononEnvironment:
-    obj = _object(cfg, "environment", where, {"gamma_ev", "sound_speed_m_s", "density_kg_m3",
-                                              "debye_temperature_k", "alpha"})
-    d = decoherence.PhononEnvironment()
-    try:
-        return decoherence.PhononEnvironment(
-            coupling_ev=_number(obj, "gamma_ev", where, d.coupling_ev, positive=True),
-            sound_speed=_number(obj, "sound_speed_m_s", where, d.sound_speed, positive=True),
-            density=_number(obj, "density_kg_m3", where, d.density, positive=True),
-            debye_temperature=_number(obj, "debye_temperature_k", where,
-                                      d.debye_temperature, positive=True),
-            alpha=_number(obj, "alpha", where, d.alpha, positive=True),
-        )
+        if "coupling_ratio" in g:
+            return cell_from_coupling_ratio(cr=g["coupling_ratio"], mat=mat, **cell)
+        return CellGeometry(d_gate=g["gate_oxide_nm"], **cell)
     except ValueError as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
@@ -297,28 +302,28 @@ def _datasheet(geom: CellGeometry, mat: MaterialStack, v_cg) -> tuple:
     return tuple(map(_finite, _DATASHEET_COLUMNS, sheet))
 
 
+_DERIVE_KEYS = {
+    "schema_version": _VERSION, "lengths_nm": (partial(_numbers, positive=True), []),
+    "tunnel_oxide_nm": (_positive, REQUIRED), "fg_height_nm": (_positive, REQUIRED),
+    "coupling_ratio": (_ratio, REQUIRED), "material": _MATERIAL, "v_cg": (_number, 0.0),
+    "normally_on_threshold_hz": (_positive, 1e3), "environment": _ENVIRONMENT,
+    "coherence_delta_kelvin": (_positive, OMIT)}
+
+
 def cmd_derive(cfg: dict, out: str | None) -> int:
-    _check_keys(cfg, {"schema_version", "lengths_nm", "tunnel_oxide_nm", "fg_height_nm",
-                      "coupling_ratio", "material", "v_cg", "normally_on_threshold_hz",
-                      "environment", "coherence_delta_kelvin"}, "config")
-    lengths = np.array(_numbers(cfg, "lengths_nm", "config", [], scalar=False,
-                                positive=True))
-    height = _number(cfg, "fg_height_nm", "config", required=True, positive=True)
-    d_ox = _number(cfg, "tunnel_oxide_nm", "config", required=True, positive=True)
-    cr = _number(cfg, "coupling_ratio", "config", required=True)
-    v_cg = _number(cfg, "v_cg", "config", 0.0)
-    threshold = _number(cfg, "normally_on_threshold_hz", "config", 1e3, positive=True)
-    delta_k = _number(cfg, "coherence_delta_kelvin", "config", positive=True)
+    c = _read(cfg, _DERIVE_KEYS, "config")
+    lengths, mat, env = np.array(c["lengths_nm"]), c["material"], c["environment"]
+    delta_k = c.get("coherence_delta_kelvin")
     delta_hz = None if delta_k is None else _kelvin_to_hz(delta_k, "coherence_delta_kelvin")
-    mat = _material(cfg)
-    env = _environment(cfg)
     try:
-        geom = cell_from_coupling_ratio(lengths, height, d_ox, cr, mat=mat)
+        geom = cell_from_coupling_ratio(lengths, c["fg_height_nm"], c["tunnel_oxide_nm"],
+                                        c["coupling_ratio"], mat=mat)
     except ValueError as exc:
         raise ConfigError(f"config.coupling_ratio is invalid: {exc}") from exc
     exponent = decoherence.renormalization_exponent(env)
-    sheet = _datasheet(geom, mat, v_cg)
-    devices = classify(geom, TunnelBarrier.from_stack(geom, mat), threshold)
+    sheet = _datasheet(geom, mat, c["v_cg"])
+    devices = classify(geom, TunnelBarrier.from_stack(geom, mat),
+                       c["normally_on_threshold_hz"])
     # without a configured delta, each length's own tunnel amplitude
     delta_hz = sheet[3] if delta_hz is None else np.full(lengths.shape, delta_hz)
     t_coh = np.full(lengths.shape, math.inf)
@@ -340,45 +345,37 @@ _SWEEP = {"L": ("length_nm", "L_nm"), "d_ox": ("tunnel_oxide_nm", "d_ox_nm"),
           "V_CG1-parabola": (None, "V_CG1_V")}
 
 
-def _sweep_grid(cfg: dict) -> np.ndarray:
-    rng = _object(cfg, "range", "range", {"min", "max", "points"}, required=True)
-    lo = _number(rng, "min", "range", required=True)
-    hi = _number(rng, "max", "range", required=True)
-    pts = _count(rng, "points", "range", required=True, minimum=2)
+def _sweep_grid(r: dict) -> np.ndarray:
+    lo, hi = r["min"], r["max"]
     if not lo < hi:
         raise ConfigError(f"range.min must be below range.max, got [{lo}, {hi}]")
     if not math.isfinite(hi - lo):      # linspace would make inf and nan points
         raise ConfigError(f"range [{lo}, {hi}] is wider than the float range")
-    return np.linspace(lo, hi, pts)
+    return np.linspace(lo, hi, r["points"])
+
+
+_SWEEP_KEYS = {"schema_version": _VERSION,
+               "parameter": (partial(_choice, options=tuple(_SWEEP)), REQUIRED),
+               "range": (partial(_nested, build=_sweep_grid, table={
+                   "min": (_number, REQUIRED), "max": (_number, REQUIRED),
+                   "points": (partial(_count, min_value=2), REQUIRED)}), REQUIRED),
+               "geometry": _GEOMETRY, "material": _MATERIAL, "v_cg": (_number, 0.0),
+               "n_values": (partial(_numbers, integral=True, min_size=1), [-2, -1, 0, 1, 2]),
+               "cell": (partial(_count, max_value=3), 1), "v_gate2": (_number, 0.0),
+               "v_sub": (_number, 0.0),
+               "tie_third": (partial(_choice, options=(True, False)), True)}
 
 
 def cmd_sweep(cfg: dict, out: str | None) -> int:
-    _check_keys(cfg, {"schema_version", "parameter", "range", "geometry", "material", "v_cg",
-                      "n_values", "cell", "v_gate2", "v_sub", "tie_third"}, "config")
-    parameter = cfg.get("parameter")
-    if parameter not in _SWEEP:
-        raise ConfigError(f"parameter must be one of {tuple(_SWEEP)}, got {parameter!r}")
-    grid = _sweep_grid(cfg)
-    mat = _material(cfg)
-    geo_cfg = _object(cfg, "geometry", "geometry", required=True)
+    c = _read(cfg, _SWEEP_KEYS, "config")
+    parameter, grid, geo, mat = c["parameter"], c["range"], c["geometry"], c["material"]
     key, column = _SWEEP[parameter]
 
     if parameter == "V_CG1-parabola":
-        n_values = _numbers(cfg, "n_values", "config", [-2, -1, 0, 1, 2], scalar=False)
-        if not n_values or not all(n.is_integer() for n in n_values):
-            raise ConfigError(f"config.n_values must be a non-empty list of integers, "
-                              f"got {cfg['n_values']!r}")
-        n_values = [int(n) for n in n_values]
-        cell = _count(cfg, "cell", "config", 1)
-        if cell > 3:
-            raise ConfigError(f"config.cell must be 1, 2 or 3, got {cell}")
-        tie_third = cfg.get("tie_third", True)
-        if not isinstance(tie_third, bool):
-            raise ConfigError(f"config.tie_third must be true or false, got {tie_third!r}")
+        n_values = c["n_values"]
         v_grid, curves = charging.parabola_family(
-            build_network(_geometry(geo_cfg, mat), mat, 3), grid, n_values, cell=cell - 1,
-            v_gate2=_number(cfg, "v_gate2", "config", 0.0),
-            v_sub=_number(cfg, "v_sub", "config", 0.0), tie_third=tie_third)
+            build_network(_geometry(geo, mat), mat, 3), grid, n_values, cell=c["cell"] - 1,
+            v_gate2=c["v_gate2"], v_sub=c["v_sub"], tie_third=c["tie_third"])
         k = len(n_values)           # one row per (voltage, n), n varying fastest
         _write_csv(out, "sweep", cfg, [column, "n", "U_eV"],
                    [np.repeat(v_grid, k), np.tile(n_values, v_grid.size),
@@ -386,91 +383,82 @@ def cmd_sweep(cfg: dict, out: str | None) -> int:
         return EXIT_OK
 
     keep = slice(3, 4) if parameter == "V_CG" else slice(0, 4)   # V_CG: amplitude only
-    v_cg = _number(cfg, "v_cg", "config", 0.0)
-    base = dict(geo_cfg)
     if parameter == "L":                # width and gap track L in a size sweep
-        base.pop("width_nm", None)
-        base.pop("gap_nm", None)
-    geom = _geometry(base if key is None else {**base, key: grid}, mat)
-    sheet = _datasheet(geom, mat, grid if parameter == "V_CG" else v_cg)
+        geo.pop("width_nm", None)
+        geo.pop("gap_nm", None)
+    if key is not None:                 # the grid rises from its first point
+        _GEOMETRY_KEYS[key][0](grid[0].item(), f"geometry.{key}")
+        geo[key] = grid
+    sheet = _datasheet(_geometry(geo, mat), mat, grid if parameter == "V_CG" else c["v_cg"])
     _write_csv(out, "sweep", cfg, [column, *_DATASHEET_COLUMNS[keep]], [grid, *sheet[keep]])
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- anneal
 
-def _build_problem(cfg: dict) -> annealing.IsingModel:
-    prob = _object(cfg, "problem", "problem", required=True)
-    kind = prob.get("kind")
-    if kind in ("grid", "fg_grid"):
-        rows = _count(prob, "rows", "problem", required=True)
-        cols = _count(prob, "cols", "problem", required=True)
-        if rows * cols > annealing.MAX_SITES:
-            raise ConfigError(f"problem.rows * problem.cols must be at most "
-                              f"{annealing.MAX_SITES} sites, got {rows * cols}")
-    if kind == "chain":
-        _check_keys(prob, {"kind", "h", "j"}, "problem")
-        h = _numbers(prob, "h", "problem", [], scalar=False)
-        j = _numbers(prob, "j", "problem", [], scalar=True)
-        if not 1 <= len(h) <= annealing.MAX_SITES:
-            raise ConfigError(f"problem.h needs 1 to {annealing.MAX_SITES} sites, got {len(h)}")
-        if isinstance(j, list) and len(j) not in (1, len(h) - 1):
-            raise ConfigError(f"problem.j must be a number or a list of 1 or {len(h) - 1} "
-                              f"numbers, got {len(j)}")
-        return annealing.chain_model(h, j)
-    if kind == "grid":
-        _check_keys(prob, {"kind", "rows", "cols", "h", "j"}, "problem")
-        h = _numbers(prob, "h", "problem", 0.0, scalar=True)
-        if isinstance(h, list) and len(h) != rows * cols:
-            raise ConfigError(f"problem.h must be a number or a list of {rows * cols} "
-                              f"numbers, got {len(h)}")
-        return annealing.grid_model(rows, cols, h, _number(prob, "j", "problem", required=True))
-    if kind == "maxcut":
-        _check_keys(prob, {"kind", "edges", "n_sites"}, "problem")
-        edges = prob.get("edges")
-        if not isinstance(edges, list) or not edges:
-            raise ConfigError("problem.edges must be a non-empty list")
-        try:
-            return annealing.maxcut_to_ising(edges, _count(prob, "n_sites", "problem"))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid problem.edges: {exc}") from exc
-    if kind == "fg_grid":
-        _check_keys(prob, {"kind", "rows", "cols", "geometry", "material",
-                           "v_cg", "n_g"}, "problem")
-        mat = _material(prob, "problem.material")
-        geom = _geometry(_object(prob, "geometry", "problem.geometry", required=True), mat,
-                         "problem.geometry")
-        return annealing.fg_grid_model(
-            geom, mat, BiasSet.uniform(3), rows, cols,
-            n_g=_number(prob, "n_g", "problem", 0.0),
-            v_cg=_number(prob, "v_cg", "problem", 0.0))
-    raise ConfigError(f"problem.kind must be chain, grid, maxcut or fg_grid, got {kind!r}")
+def _fg_grid(p: dict) -> annealing.IsingModel:
+    geom = _geometry(p["geometry"], p["material"], "problem.geometry")
+    return annealing.fg_grid_model(geom, p["material"], BiasSet.uniform(3), p["rows"],
+                                   p["cols"], n_g=p["n_g"], v_cg=p["v_cg"])
 
 
-def _build_schedule(cfg: dict, model: annealing.IsingModel) -> annealing.Schedule:
-    sched = _object(cfg, "schedule", "schedule", {"delta0_ev", "profile", "t_total", "steps",
-                                                  "floor_ratio", "time_unit"})
-    delta0 = _number(sched, "delta0_ev", "schedule", model.delta0)
-    if delta0 is None:
-        raise ConfigError("schedule.delta0_ev is required for this problem kind")
-    steps = _count(sched, "steps", "schedule", 2000)
+_SITES = partial(_count, max_value=annealing.MAX_SITES)
+# problem.kind -> (model build, the key its ValueError is about (None: a
+# physics error), table of the keys besides kind)
+_PROBLEMS = {
+    "chain": (lambda p: annealing.chain_model(p["h"], p["j"]), "j", {
+        "h": (partial(_numbers, min_size=1, max_size=annealing.MAX_SITES), REQUIRED),
+        "j": (partial(_numbers, scalar=True), [])}),
+    "grid": (lambda p: annealing.grid_model(p["rows"], p["cols"], p["h"], p["j"]), "h", {
+        "rows": (_SITES, REQUIRED), "cols": (_SITES, REQUIRED),
+        "h": (partial(_numbers, scalar=True), 0.0), "j": (_number, REQUIRED)}),
+    "maxcut": (lambda p: annealing.maxcut_to_ising(p["edges"], p.get("n_sites")), "edges", {
+        "edges": (partial(_edges, sites=annealing.MAX_SITES), REQUIRED),
+        "n_sites": (_SITES, OMIT)}),
+    "fg_grid": (_fg_grid, None, {
+        "rows": (_SITES, REQUIRED), "cols": (_SITES, REQUIRED), "geometry": _GEOMETRY,
+        "material": _MATERIAL, "v_cg": (_number, 0.0), "n_g": (_number, 0.0)}),
+}
+
+
+def _problem(value, name: str) -> annealing.IsingModel:
+    """The Ising model of a problem object, read through the table of its kind."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object")
+    kind = partial(_choice, options=tuple(_PROBLEMS))
+    build, key, table = _PROBLEMS[kind(value.get("kind"), "problem.kind")]
+    p = _read(value, {"kind": (kind, REQUIRED), **table}, "problem")
+    if p.get("rows", 1) * p.get("cols", 1) > annealing.MAX_SITES:
+        raise ConfigError(f"problem.rows * problem.cols must be at most "
+                          f"{annealing.MAX_SITES} sites, got {p['rows'] * p['cols']}")
     try:
-        return annealing.Schedule(
-            delta0=delta0,
-            t_total=_number(sched, "t_total", "schedule", 200.0, positive=True),
-            steps=steps,
-            profile=sched.get("profile", "linear"),
-            floor_ratio=_number(sched, "floor_ratio", "schedule", 1e-6, positive=True),
-            time_unit=sched.get("time_unit", "natural"))
+        return build(p)
     except ValueError as exc:
-        raise ConfigError(f"invalid schedule: {exc}") from exc
+        if key is None:
+            raise
+        raise ConfigError(f"problem.{key} is invalid: {exc}") from exc
+
+
+_ANNEAL_KEYS = {"schema_version": _VERSION, "problem": (_problem, REQUIRED),
+                "schedule": (partial(_nested, table={
+                    "delta0_ev": (partial(_number, min_value=0.0), OMIT),
+                    "profile": (partial(_choice, options=("linear", "exponential")), OMIT),
+                    "t_total": (_positive, 200.0), "steps": (_count, 2000),
+                    "floor_ratio": (partial(_number, min_value=0.0, max_value=1e-6,
+                                            exclude_min=True), OMIT),
+                    "time_unit": (partial(_choice, options=("natural", "seconds")), OMIT)}),
+                    {}),
+                # multinomial draws the shots as one int64
+                "shots": (partial(_count, max_value=np.iinfo(np.int64).max), 4096)}
 
 
 def cmd_anneal(cfg: dict, out: str | None, seed: int) -> int:
-    _check_keys(cfg, {"schema_version", "problem", "schedule", "shots"}, "config")
-    model = _build_problem(cfg)
-    schedule = _build_schedule(cfg, model)
-    shots = _count(cfg, "shots", "config", 4096)
+    c = _read(cfg, _ANNEAL_KEYS, "config")
+    model, sched, shots = c["problem"], c["schedule"], c["shots"]
+    delta0 = sched.pop("delta0_ev", model.delta0)
+    if delta0 is None:
+        raise ConfigError("schedule.delta0_ev is required for this problem kind")
+    schedule = annealing.Schedule(delta0=delta0, **sched)
 
     record_every = max(1, schedule.steps // 200)
     result = annealing.evolve(model, schedule, record_every=record_every)
@@ -508,16 +496,17 @@ def cmd_anneal(cfg: dict, out: str | None, seed: int) -> int:
 
 # ---------------------------------------------------------------- decohere
 
+_DECOHERE_KEYS = {"schema_version": _VERSION, "environment": _ENVIRONMENT,
+                  "delta_kelvin": (partial(_numbers, positive=True, min_size=1),
+                                   [10.0, 100.0]),
+                  "time_points": (partial(_count, min_value=2), 200),
+                  "max_time_factor": (_positive, 3.0)}
+
+
 def cmd_decohere(cfg: dict, out: str | None) -> int:
-    _check_keys(cfg, {"schema_version", "environment", "delta_kelvin", "time_points",
-                      "max_time_factor"}, "config")
-    env = _environment(cfg)
-    deltas_k = _numbers(cfg, "delta_kelvin", "config", [10.0, 100.0], scalar=False,
-                        positive=True)
-    if not deltas_k:
-        raise ConfigError("config.delta_kelvin must not be empty")
-    points = _count(cfg, "time_points", "config", 200, minimum=2)
-    factor = _number(cfg, "max_time_factor", "config", 3.0, positive=True)
+    c = _read(cfg, _DECOHERE_KEYS, "config")
+    env, deltas_k = c["environment"], c["delta_kelvin"]
+    points, factor = c["time_points"], c["max_time_factor"]
     deltas_hz = _kelvin_to_hz(np.array(deltas_k), "delta_kelvin")
     t_coh = decoherence.coherence_time(deltas_hz, env.alpha)
     overflow = ~np.isfinite(factor * t_coh)
@@ -525,27 +514,35 @@ def cmd_decohere(cfg: dict, out: str | None) -> int:
         key = "delta_kelvin" if np.isinf(t_coh[overflow][0]) else "max_time_factor"
         raise ConfigError(f"config.{key} puts the time grid of "
                           f"{deltas_k[np.argmax(overflow)]!r} K beyond the float range")
-
-    exponent = decoherence.renormalization_exponent(env)
-    print(f"renormalization exponent: {exponent!r}")
-    print(f"ohmic alpha: {env.alpha!r}")
-    for dk, delta_hz, tc in zip(deltas_k, deltas_hz.tolist(), t_coh.tolist()):
-        rate = decoherence.superohmic_rate(delta_hz, env)
-        print(f"delta = {dk!r} K = {delta_hz!r} Hz: "
-              f"t_coh = {tc!r} s, superohmic rate at bare delta = {rate!r} 1/s, "
-              f"dressed delta = {decoherence.renormalized_tunneling(delta_hz, env)!r} Hz")
     # one row of times per delta, each from 0 to factor * t_coh of its delta
     t = np.linspace(0.0, factor * t_coh, points, axis=1)
+
+    # the report is printed once nothing can fail, so a failed run prints none
+    exponent = decoherence.renormalization_exponent(env)
+    report = [f"renormalization exponent: {exponent!r}", f"ohmic alpha: {env.alpha!r}"]
+    for dk, delta_hz, tc in zip(deltas_k, deltas_hz.tolist(), t_coh.tolist()):
+        rate = decoherence.superohmic_rate(delta_hz, env)
+        dressed = decoherence.renormalized_tunneling(delta_hz, env)
+        report.append(f"delta = {dk!r} K = {delta_hz!r} Hz: t_coh = {tc!r} s, superohmic "
+                      f"rate at bare delta = {rate!r} 1/s, dressed delta = {dressed!r} Hz")
     pc = decoherence.p_coherent(t, deltas_hz[:, None], env.alpha)
     pi = decoherence.p_incoherent(t, deltas_hz[:, None], env.alpha)
     if out is not None:
         _write_csv(out, "decohere", cfg, ["delta_K", "t_s", "p_coh", "p_inc", "p_total"],
                    [np.repeat(deltas_k, points), t.ravel(), pc.ravel(), pi.ravel(),
                     (pc + pi).ravel()])
+    print("\n".join(report))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- entry
+
+def _seed(text: str) -> int:
+    """A measurement seed: numpy's generators take non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fgqa",
@@ -559,7 +556,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output CSV path (anneal: prefix)")
         if name == "anneal":
-            p.add_argument("--seed", type=int, default=0, help="measurement seed")
+            p.add_argument("--seed", type=_seed, default=0, help="measurement seed")
     return parser
 
 
@@ -577,7 +574,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BarrierCollapseError, ValueError) as exc:
+    except (BarrierCollapseError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
 

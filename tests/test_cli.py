@@ -1,16 +1,22 @@
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fgqa import cli
 from fgqa.cells import MaterialStack, build_network, cell_from_coupling_ratio
 from fgqa.charging import parabola_family
 from fgqa.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, _write_csv, emit_config, main,
@@ -89,7 +95,8 @@ class TestConfigHandling:
         assert f"{key} must be " in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["sweep", "--threads", "4"],
-                                      ["decohere", "--seed", "1"]])
+                                      ["decohere", "--seed", "1"],
+                                      ["anneal", "--seed", "-1"]])
     def test_removed_options_are_rejected(self, tmp_path, capsys, argv):
         path = write_config(tmp_path, "c.json", {"schema_version": 1})
         with pytest.raises(SystemExit) as exc:
@@ -137,6 +144,8 @@ class TestDerive:
         ("tunnel_oxide_nm", float("nan")),
         ("coupling_ratio", 1e-320),         # a gate oxide beyond the float range
         ("material", {"eps_gate_f_per_nm": -1}),
+        ("schema_version", True),
+        ("schema_version", 1.0),
     ])
     def test_bad_key_is_config_error(self, tmp_path, capsys, key, value):
         cfg = dict(DERIVE_CFG, **{key: value})
@@ -311,6 +320,7 @@ class TestSweep:
         ("config.cell", 0),
         ("config.tie_third", "false"),
         ("config.tie_third", 0),
+        ("config.parameter", ["L"]),
     ])
     def test_bad_parabola_key_is_config_error(self, tmp_path, capsys, key, value):
         cfg = {"schema_version": 1, "parameter": "V_CG1-parabola",
@@ -321,6 +331,15 @@ class TestSweep:
         assert main(["sweep", "--config",
                      write_config(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
         assert f"{key} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [1.0, 1.5])
+    def test_bad_coupling_ratio_names_geometry_key(self, tmp_path, capsys, value):
+        cfg = {"schema_version": 1, "parameter": "L",
+               "range": {"min": 5.0, "max": 10.0, "points": 3},
+               "geometry": dict(SWEEP_GEOMETRY, coupling_ratio=value)}
+        assert main(["sweep", "--config",
+                     write_config(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
+        assert "geometry.coupling_ratio " in capsys.readouterr().err
 
 
 ANNEAL_CFG = {
@@ -377,12 +396,29 @@ class TestAnneal:
         ({"kind": "fg_grid", "rows": 5, "cols": 5, "geometry": SWEEP_GEOMETRY}, "rows"),
         ({"kind": "chain", "h": [0.0] * 25, "j": 1.0}, "h"),
         ({"kind": "grid", "rows": 2, "cols": 2, "h": [0.1, 0.2], "j": 1.0}, "h"),
+        ({"kind": "maxcut", "edges": [[0, 1, 10**400]]}, "edges"),
+        ({"kind": "maxcut", "edges": [[0, 1.7]]}, "edges"),
+        ({"kind": "maxcut", "edges": [[0, 1, True]]}, "edges"),
+        ({"kind": "maxcut", "edges": [[0, 10**12]]}, "edges"),
+        ({"kind": "maxcut", "edges": [[0, 1]], "n_sites": 10**12}, "n_sites"),
     ])
     def test_malformed_problem_key_is_config_error(self, tmp_path, capsys, problem, key):
         cfg = dict(ANNEAL_CFG, problem=problem)
         assert main(["anneal", "--config",
                      write_config(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
         assert f"problem.{key} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("profile", "cubic"),
+        ("time_unit", "ms"),
+        ("delta0_ev", -1),
+        ("floor_ratio", 1e-5),
+    ])
+    def test_malformed_schedule_key_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = dict(ANNEAL_CFG, schedule=dict(ANNEAL_CFG["schedule"], **{key: value}))
+        assert main(["anneal", "--config",
+                     write_config(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
+        assert f"schedule.{key} " in capsys.readouterr().err
 
     def test_collapsed_device_barrier_is_physics_error(self, tmp_path):
         cfg = dict(ANNEAL_CFG, problem={"kind": "fg_grid", "rows": 1, "cols": 3,
@@ -584,3 +620,264 @@ def test_commands_do_not_import_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+PARABOLA_CFG = {"schema_version": 1, "parameter": "V_CG1-parabola",
+                "range": {"min": -0.5, "max": 0.5, "points": 3}, "geometry": SWEEP_GEOMETRY}
+
+
+@pytest.mark.parametrize("command, cfg, code, error", [
+    ("derive", dict(DERIVE_CFG, environment={"sound_speed_m_s": 1e-300}), EXIT_PHYSICS,
+     "physics error: float division by zero"),
+    ("decohere", dict(TestDecohere.CFG, environment={"density_kg_m3": 1e-300}), EXIT_PHYSICS,
+     "physics error: float division by zero"),
+    ("decohere", dict(TestDecohere.CFG, environment={"sound_speed_m_s": 1.7e308}),
+     EXIT_PHYSICS, "physics error: (34, 'Numerical result out of range')"),
+    ("derive", dict(DERIVE_CFG, environment={"gamma_ev": 1.7e308}), EXIT_PHYSICS,
+     "physics error: (34, 'Numerical result out of range')"),
+    ("sweep", dict(PARABOLA_CFG, v_sub=1.7e308), EXIT_PHYSICS,
+     "physics error: (34, 'Numerical result out of range')"),
+    ("anneal", dict(ANNEAL_CFG, schedule={"delta0_ev": 1.0, "steps": 10**15}), EXIT_PHYSICS,
+     "physics error: Unable to allocate"),
+    ("sweep", dict(PARABOLA_CFG, range={"min": 0.0, "max": 1.0, "points": 10**15}),
+     EXIT_PHYSICS, "physics error: Unable to allocate"),
+    ("decohere", dict(TestDecohere.CFG, time_points=10**15), EXIT_PHYSICS,
+     "physics error: Unable to allocate"),
+    ("anneal", dict(ANNEAL_CFG, shots=10**30), EXIT_CONFIG,
+     "config error: config.shots must be "),
+], ids=["sound-speed-tiny", "density-tiny", "sound-speed-huge", "gamma-huge", "v_sub-huge",
+        "steps-beyond-memory", "points-beyond-memory", "time-points-beyond-memory",
+        "shots-beyond-int64"])
+def test_extreme_valid_typed_value_exits_without_traceback(tmp_path, capsys, command, cfg,
+                                                           code, error):
+    # each is rejected before any output; a count beyond memory fails its first allocation
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(error)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+COMMAND_KEYS = {"derive": cli._DERIVE_KEYS, "sweep": cli._SWEEP_KEYS,
+                "anneal": cli._ANNEAL_KEYS, "decohere": cli._DECOHERE_KEYS}
+
+
+def problem_table(kind: str) -> dict:
+    """The key table a problem object of ``kind`` is read through."""
+    return {"kind": (partial(cli._choice, options=tuple(cli._PROBLEMS)), cli.REQUIRED),
+            **cli._PROBLEMS[kind][2]}
+
+
+def config_keys(table: dict):
+    """Every key of ``table`` and of the objects nested in it."""
+    for key, (reader, _) in table.items():
+        yield key
+        if reader is cli._problem:
+            for kind in cli._PROBLEMS:
+                yield from config_keys(problem_table(kind))
+        elif getattr(reader, "func", None) is cli._nested:
+            yield from config_keys(reader.keywords["table"])
+
+
+@pytest.mark.parametrize("command", COMMAND_KEYS)
+def test_readme_lists_every_config_key(command):
+    text = README.read_text()
+    start = text.index(f"### `{command}`")
+    end = re.compile(r"^##", re.M).search(text, start + 1)
+    section = text[start:end.start() if end else None]
+    missing = sorted({key for key in config_keys(COMMAND_KEYS[command])
+                      if not re.search(rf"[`\".]{re.escape(key)}[`\"]", section)})
+    assert missing == []
+
+
+# ---------------------------------------------------------------- fuzzing from the key tables
+
+# small valid configs: anneals at n <= 8 sites and <= 100 steps
+FUZZ_BASES = [
+    ("derive", DERIVE_CFG),
+    ("sweep", {"schema_version": 1, "parameter": "L",
+               "range": {"min": 5.0, "max": 15.0, "points": 4}, "geometry": SWEEP_GEOMETRY}),
+    ("anneal", {"schema_version": 1, "shots": 64,
+                "problem": {"kind": "chain", "h": [0.1, -0.2, 0.3], "j": 0.5},
+                "schedule": {"delta0_ev": 1.0, "t_total": 5.0, "steps": 50}}),
+    ("anneal", {"schema_version": 1, "shots": 64,
+                "problem": {"kind": "grid", "rows": 2, "cols": 2, "j": 0.5},
+                "schedule": {"delta0_ev": 1.0, "t_total": 5.0, "steps": 50}}),
+    ("anneal", {"schema_version": 1, "shots": 64,
+                "problem": {"kind": "maxcut", "edges": [[0, 1], [1, 2, 2.0]]},
+                "schedule": {"delta0_ev": 1.0, "t_total": 5.0, "steps": 50}}),
+    ("anneal", {"schema_version": 1, "shots": 64,
+                "problem": {"kind": "fg_grid", "rows": 1, "cols": 2,
+                            "geometry": SWEEP_GEOMETRY, "v_cg": -1.7},
+                "schedule": {"t_total": 100.0, "steps": 50, "profile": "exponential"}}),
+    ("decohere", {"schema_version": 1, "delta_kelvin": [10.0, 100.0], "time_points": 20}),
+]
+
+# Keys whose valid values depend on other keys (or, for steps, whose default
+# is a long anneal): valid configs keep them as in the base.
+FIXED = {"range.min", "range.max", "problem.kind", "problem.rows", "problem.cols",
+         "problem.n_sites", "problem.j", "schedule.delta0_ev", "schedule.steps",
+         "geometry.coupling_ratio", "geometry.gate_oxide_nm",
+         "problem.geometry.coupling_ratio", "problem.geometry.gate_oxide_nm"}
+
+
+def key_entries(table: dict, cfg: dict, where: str = "config", path: tuple = ()):
+    """(path, where, key, reader, default) of every key a config of ``table``
+    can hold, for the problem kind that ``cfg`` has."""
+    for key, (reader, default) in table.items():
+        yield path + (key,), where, key, reader, default
+        inner = f"{where}.{key}".removeprefix("config.")
+        if reader is cli._problem:
+            yield from key_entries(problem_table(cfg[key]["kind"]), cfg[key], inner,
+                                   path + (key,))
+        elif getattr(reader, "func", None) is cli._nested:
+            yield from key_entries(reader.keywords["table"], cfg.get(key, {}), inner,
+                                   path + (key,))
+
+
+def is_object(reader) -> bool:
+    return reader is cli._problem or getattr(reader, "func", None) is cli._nested
+
+
+def holder(cfg: dict, path: tuple) -> dict:
+    """The object of ``cfg`` that holds the key at ``path``, made if absent."""
+    for step in path[:-1]:
+        cfg = cfg.setdefault(step, {})
+    return cfg
+
+
+def rejects(reader, value) -> bool:
+    try:
+        reader(value, "fuzz")
+    except cli.ConfigError:
+        return True
+    return False
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+    st.sampled_from([10**400, -0.0, 5e-324, 1.7e308, 0, 1, 2, 1.0, -1, 24, 2**63]))
+JSON_VALUES = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3),
+                        st.lists(st.lists(JSON_SCALARS, max_size=4), max_size=2),
+                        st.dictionaries(st.text(max_size=2), JSON_SCALARS, max_size=2))
+
+
+def near_bounds(reader) -> list:
+    """Values at and just beyond the bounds of ``reader``, and malformed edges."""
+    kw = getattr(reader, "keywords", {})
+    values = [[0.5], [[0, 0]], [[0, 1.7]], [[0, 1, True]], [[0, 1, -1.0]]]
+    for bound in (kw.get("min_value"), kw.get("max_value"), kw.get("sites")):
+        if bound is not None and math.isfinite(bound):
+            values += [bound, bound - 1, bound + 1, math.nextafter(bound, -math.inf),
+                       math.nextafter(bound, math.inf), [[0, bound]]]
+    sizes = (kw.get("min_size", 0) - 1, kw.get("max_size", -1) + 1)
+    values += [[0.5] * size for size in sizes]
+    for option in kw.get("options", ()):
+        values += [[option], str(option), float(option) if type(option) is int else 1]
+    return values
+
+
+@st.composite
+def broken_configs(draw, command, base):
+    """(config, what the error must name): ``base`` with one key broken."""
+    entries = list(key_entries(COMMAND_KEYS[command], base))
+    path, where, key, reader, default = draw(st.sampled_from(entries))
+    cfg = json.loads(json.dumps(base))
+    parent = holder(cfg, path)
+    action = draw(st.sampled_from(["value"] * 3 + ["unknown"]
+                                  + ["remove"] * (default is cli.REQUIRED)))
+    if action == "remove":
+        parent.pop(key, None)
+    elif action == "unknown":
+        parent[f"{key}_x"] = 1
+        return cfg, f"unknown key(s) in {where}: {key}_x"
+    else:
+        candidates = st.one_of(JSON_VALUES, st.sampled_from(near_bounds(reader)))
+        if is_object(reader):        # an object's own errors name its keys
+            candidates = candidates.filter(lambda v: not isinstance(v, dict))
+        parent[key] = draw(candidates.filter(partial(rejects, reader)))
+    return cfg, f"{where}.{key}"
+
+
+def tame_value(reader):
+    """A strategy of values ``reader`` accepts, of moderate size."""
+    func, kw = getattr(reader, "func", reader), getattr(reader, "keywords", {})
+    if func is cli._number:
+        lo, hi = kw.get("min_value", -1e3), min(kw.get("max_value", 1e3), 1e3)
+        if kw.get("exclude_min"):
+            lo = min(1e-3, 1e-3 * hi)
+        return st.floats(max(lo, -1e3), hi, exclude_max=kw.get("exclude_max", False))
+    if func is cli._count:
+        lo = kw.get("min_value", 1)
+        return st.integers(lo, min(kw.get("max_value", lo + 50), lo + 50))
+    if func is cli._choice:
+        return st.sampled_from(kw["options"])
+    if func is cli._edges:
+        edge = st.tuples(st.integers(0, 7), st.integers(1, 7), st.floats(1e-3, 1e3))
+        return st.lists(edge.map(lambda e: [e[0], (e[0] + e[1]) % 8, e[2]]), min_size=1,
+                        max_size=5)
+    assert func is cli._numbers
+    item = (st.integers(-5, 5) if kw.get("integral") else
+            st.floats(1e-3, 1e3) if kw.get("positive") else st.floats(-1e3, 1e3))
+    if kw.get("scalar"):            # a list must fit the other keys
+        return item
+    return st.lists(item, min_size=kw.get("min_size", 0),
+                    max_size=min(kw.get("max_size", 6), 6))
+
+
+@st.composite
+def valid_configs(draw, command, base):
+    """``base`` with each key kept, redrawn or dropped."""
+    cfg = json.loads(json.dumps(base))
+    for path, where, key, reader, default in key_entries(COMMAND_KEYS[command], base):
+        if is_object(reader) or f"{where}.{key}".removeprefix("config.") in FIXED:
+            continue
+        droppable = default is not cli.REQUIRED
+        action = draw(st.sampled_from(["keep", "redraw"] + ["drop"] * droppable))
+        if action == "redraw":
+            holder(cfg, path)[key] = draw(tame_value(reader))
+        elif action == "drop":
+            holder(cfg, path).pop(key, None)
+    return cfg
+
+
+def run_main(command: str, cfg: dict):
+    """(exit code, stdout, stderr, {CSV name: (header, rows)}) of one run in a fresh
+    directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "c.json")
+        path.write_text(json.dumps(cfg))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path), "--out", str(Path(tmp, "out"))])
+        files = {p.name: read_rows(p) for p in Path(tmp).iterdir() if p != path}
+    return code, out.getvalue(), err.getvalue(), files
+
+
+FUZZ_IDS = [f"{command}-{base['problem']['kind']}" if command == "anneal" else command
+            for command, base in FUZZ_BASES]
+
+
+@pytest.mark.parametrize("command, base", FUZZ_BASES, ids=FUZZ_IDS)
+@settings(derandomize=True, database=None, max_examples=18, deadline=None)
+@given(data=st.data())
+def test_fuzz_one_broken_key_is_config_error(command, base, data):
+    cfg, name = data.draw(broken_configs(command, base))
+    code, out, err, files = run_main(command, cfg)
+    assert (code, out, files) == (EXIT_CONFIG, "", {}), err
+    assert re.search(rf"{re.escape(name)}(?![\w.\[])", err), err
+
+
+@pytest.mark.parametrize("command, base", FUZZ_BASES, ids=FUZZ_IDS)
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(data=st.data())
+def test_fuzz_valid_config_runs_or_is_physics_error(command, base, data):
+    cfg = data.draw(valid_configs(command, base))
+    code, out, err, files = run_main(command, cfg)
+    assert (code == EXIT_OK and err == ""
+            or code == EXIT_PHYSICS and err.startswith("physics error: ")), err
+    for name, (header, rows) in files.items():
+        for k, column in enumerate(header):
+            bad = [r[k] for r in rows if r[k].lower().lstrip("-") in ("nan", "inf")]
+            assert column == "t_coh_s" or not bad, (name, column, bad)
