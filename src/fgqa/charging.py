@@ -22,7 +22,7 @@ eliminated, and the m x m island system left is assembled from one
 branch table, ``_branches`` ((kind, island, C, V) arrays of every branch
 with C > 0), and inverted as a general dense matrix.  It shares no
 formula with the closed form: no pivots, and the energy is summed over
-the branch charges.
+the branch charges, which are an affine map of the occupation.
 
 Near the degeneracy point between ``n_i`` and ``n_i + 1`` electrons the
 two charge states form a qubit, and expanding the quadratic form on
@@ -43,10 +43,10 @@ is reduced and expanded for every point in one call, and
 :func:`parabola_family` reduces its network once and evaluates only the
 bias-dependent offset charge over the voltage grid.  The oracle takes
 one scalar network and one occupation per call; everything that depends
-on the network and bias alone (branch table, incidence, the inverse of
-the island matrix and its bias charge) is set up once for the last
-(network, bias) pair, so a scan over the 2^M corner occupations of a row
-pays for one set-up.
+on the network and bias alone (the affine map from occupation to branch
+charges, built from the branch table and the inverse of the island
+matrix) is set up once for the last (network, bias) pair, so a scan over
+the 2^M corner occupations of a row pays for one set-up.
 """
 
 from __future__ import annotations
@@ -234,26 +234,35 @@ def _branches(net: CapacitanceNetwork, bias: BiasSet):
 
 @functools.lru_cache(maxsize=1)
 def _island_system(net: CapacitanceNetwork, bias: BiasSet):
-    """What the oracle needs of one (network, bias): the branch capacitances
-    and voltages of ``_branches``, the (m, branches) island incidence A, the
-    inverse of the island matrix A diag(C) A^T and the bias charge A (C V).
+    """What the oracle needs of one (network, bias): the branch charges as an
+    affine map q(n) = q0 + Q n of the occupation, and the branch voltages V
+    and 1/(2C) of ``_branches`` to sum the energy with.
+
+    Eliminating lam from the island system gives, with K = A diag(C) A^T,
+
+        Q = -e diag(C) (K^-1 A)^T,   q0 = C (V - A^T K^-1 A (C V)).
 
     Only the last pair is kept, so a scan over occupations sets up once.  The
     network is keyed by identity, which is sound because its arrays are
-    read-only copies; the bias is keyed by value.
+    read-only copies; the bias is keyed by value.  The arrays returned are
+    read-only, as the cache hands the same ones to every call.
     """
     kind, island, cap, volt = _branches(net, bias)
     fg = np.flatnonzero(kind == _FG)
     incidence = np.zeros((net.m, cap.size))
     incidence[island, np.arange(cap.size)] = 1.0
     incidence[island[fg] + 1, fg] = -1.0
-    weighted = incidence * cap
     try:
-        k_inv = np.linalg.inv(weighted @ incidence.T)
+        k_inv_a = np.linalg.inv((incidence * cap) @ incidence.T) @ incidence
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular charge-constraint system (non-physical "
                          f"network): {exc}") from exc
-    return cap, volt, incidence, k_inv, weighted @ volt
+    q0 = cap * (volt - (cap * volt) @ incidence.T @ k_inv_a)
+    slope = -_E * cap[:, None] * k_inv_a.T
+    arrays = (q0, slope, volt, 0.5 / cap)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def minimize_charge_oracle(net: CapacitanceNetwork, bias: BiasSet, n) -> float:
@@ -271,11 +280,11 @@ def minimize_charge_oracle(net: CapacitanceNetwork, bias: BiasSet, n) -> float:
         (A diag(C) A^T) lam = n e + A (C V)
 
     is left.  Its matrix and right-hand bias term depend on the network
-    and bias alone: they are set up and inverted once for the last
-    (network, bias) pair, so each call for another occupation costs one
-    m x m product and the branch sums.  Works for any row length; serves
-    as the independent cross-check of :func:`charging_energy`, whose
-    pivots and offsets it never uses.
+    and bias alone, so the solved branch charges are an affine map of n,
+    set up once for the last (network, bias) pair: each call for another
+    occupation costs one (branches x m) product and the branch sum.
+    Works for any row length; serves as the independent cross-check of
+    :func:`charging_energy`, whose pivots and offsets it never uses.
     """
     n = np.asarray(n, dtype=float)
     m = net.m
@@ -283,10 +292,9 @@ def minimize_charge_oracle(net: CapacitanceNetwork, bias: BiasSet, n) -> float:
         raise ValueError(f"expected {m} occupation numbers, got shape {n.shape}")
     if bias.m != m:
         raise ValueError("bias and network cell counts differ")
-    cap, volt, incidence, k_inv, bias_charge = _island_system(net, bias)
-    lam = k_inv @ (n * _E + bias_charge)
-    q = cap * (volt - lam @ incidence)
-    return float(np.sum(q * (q / (2.0 * cap) - volt))) / _E
+    q0, slope, volt, half_inv_cap = _island_system(net, bias)
+    q = q0 + slope @ n
+    return float(q @ (q * half_inv_cap - volt)) / _E
 
 
 def _curvature(form: ReducedChargingForm) -> np.ndarray:

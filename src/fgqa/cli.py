@@ -20,7 +20,10 @@ whole grid as one array-valued geometry (or gate voltage) to
 its list of lengths, the parabola sweep is one
 :func:`fgqa.charging.parabola_family` call, and ``decohere`` evaluates
 the time traces of all its deltas in one call per signal part.  CSVs
-are written column by column.
+are written column by column, and a float column formats each distinct
+value once.  What does not depend on the call, the argument parser, is
+built once per process, so a caller that runs many commands in one
+process pays for it once.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import hashlib
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -239,6 +242,26 @@ def _kelvin_to_hz(kelvin, key: str):
     return hz
 
 
+_BATH = ("environment.gamma_ev, environment.sound_speed_m_s, "
+         "environment.density_kg_m3")
+_EXPONENT = ("renormalization exponent", f"{_BATH}, environment.debye_temperature_k")
+_RATE = ("superohmic rate", f"{_BATH}, config.delta_kelvin")
+
+
+def _bath(figure: tuple, formula, *args) -> float:
+    """``formula(*args)``, a phonon-bath ``figure`` (its name and the keys
+    it is computed from); an overflow, a division by zero or a NaN is a
+    physics error naming both."""
+    name, keys = figure
+    try:
+        value = formula(*args)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"{exc} in the {name} of {keys}") from exc
+    if math.isnan(value):
+        raise ValueError(f"the {name} of {keys} is NaN")
+    return value
+
+
 # ---------------------------------------------------------------- output
 
 def _fmt(x) -> str:
@@ -248,9 +271,18 @@ def _fmt(x) -> str:
 
 
 def _fields(column) -> list[str]:
-    """The CSV fields of one column (an array or any sequence)."""
-    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
-        return list(map(str, column.tolist()))      # str of a Python float is its repr
+    """The CSV fields of one column (an array or any sequence).
+
+    A float column is formatted once per distinct value, which is found by
+    its bit pattern: equal floats such as 0.0 and -0.0 have different reprs.
+    """
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        bits, where = np.unique(np.asarray(column, dtype=float).view(np.int64),
+                                return_inverse=True)
+        text = np.array(list(map(str, bits.view(float).tolist())), dtype=object)
+        return text[where].tolist()                 # str of a Python float is its repr
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biu":
+        return list(map(str, column.tolist()))
     return list(map(_fmt, column))
 
 
@@ -320,7 +352,7 @@ def cmd_derive(cfg: dict, out: str | None) -> int:
                                         c["coupling_ratio"], mat=mat)
     except ValueError as exc:
         raise ConfigError(f"config.coupling_ratio is invalid: {exc}") from exc
-    exponent = decoherence.renormalization_exponent(env)
+    exponent = _bath(_EXPONENT, decoherence.renormalization_exponent, env)
     sheet = _datasheet(geom, mat, c["v_cg"])
     devices = classify(geom, TunnelBarrier.from_stack(geom, mat),
                        c["normally_on_threshold_hz"])
@@ -518,10 +550,10 @@ def cmd_decohere(cfg: dict, out: str | None) -> int:
     t = np.linspace(0.0, factor * t_coh, points, axis=1)
 
     # the report is printed once nothing can fail, so a failed run prints none
-    exponent = decoherence.renormalization_exponent(env)
+    exponent = _bath(_EXPONENT, decoherence.renormalization_exponent, env)
     report = [f"renormalization exponent: {exponent!r}", f"ohmic alpha: {env.alpha!r}"]
     for dk, delta_hz, tc in zip(deltas_k, deltas_hz.tolist(), t_coh.tolist()):
-        rate = decoherence.superohmic_rate(delta_hz, env)
+        rate = _bath(_RATE, decoherence.superohmic_rate, delta_hz, env)
         dressed = decoherence.renormalized_tunneling(delta_hz, env)
         report.append(f"delta = {dk!r} K = {delta_hz!r} Hz: t_coh = {tc!r} s, superohmic "
                       f"rate at bare delta = {rate!r} 1/s, dressed delta = {dressed!r} Hz")
@@ -544,7 +576,9 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(prog="fgqa",
                                      description="floating-gate quantum-annealer toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

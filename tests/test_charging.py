@@ -283,6 +283,15 @@ class TestOracleSetUpReuse:
         c_gate[0] = 1e-19
         assert net.c_gate[0] == 2e-19
 
+    def test_cached_arrays_are_read_only(self):
+        # every call for the same (network, bias) shares the cached arrays
+        net, bias, n = random_row(np.random.default_rng(23), 4)
+        minimize_charge_oracle(net, bias, n)
+        arrays = charging._island_system(net, bias)
+        assert arrays and all(not a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            arrays[0][0] = 0.0
+
 
 class TestIsingParameters:
     def test_fields_vanish_at_degeneracy(self, rng):

@@ -881,3 +881,107 @@ def test_fuzz_valid_config_runs_or_is_physics_error(command, base, data):
         for k, column in enumerate(header):
             bad = [r[k] for r in rows if r[k].lower().lstrip("-") in ("nan", "inf")]
             assert column == "t_coh_s" or not bad, (name, column, bad)
+
+
+# ---------------------------------------------------------------- fixed costs paid once
+
+FLOATS = st.floats(allow_nan=False, allow_subnormal=True, width=64)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(values=st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                        math.inf, -math.inf, 0.1, 1e16, -123.456]) | FLOATS,
+                       max_size=40),
+       picks=st.lists(st.integers(0, 39), max_size=60),
+       ints=st.lists(st.integers(-2**63, 2**63 - 1), max_size=20),
+       strings=st.lists(st.text(max_size=5), max_size=20))
+def test_fields_format_each_float_as_its_repr(values, picks, ints, strings):
+    # repeats drawn from the values themselves, so equal floats and the
+    # zeros of both signs sit next to one another
+    column = np.array(values + [values[k % len(values)] for k in picks if values], dtype=float)
+    assert cli._fields(column) == [repr(float(x)) for x in column]
+    assert cli._fields(column[::-1]) == [repr(float(x)) for x in column[::-1]]
+    assert cli._fields(np.array(ints, dtype=np.int64)) == list(map(str, ints))
+    assert cli._fields(strings) == strings
+
+
+def test_each_call_in_one_process_writes_what_a_first_call_writes(tmp_path):
+    # the parser and the oracle's set-up outlive a call; a later call
+    # must not see what an earlier one left behind
+    configs = {"anneal": ANNEAL_CFG, "sweep": PARABOLA_CFG, "derive": DERIVE_CFG,
+               "decohere": dict(TestDecohere.CFG, delta_kelvin=[10.0, 10.0])}
+    for command, cfg in configs.items():
+        write_config(tmp_path, f"{command}.json", cfg)
+    script = (
+        "import contextlib, io, json, os, sys\n"
+        "from fgqa.cli import main\n"
+        "runs = []\n"
+        "for command in sys.argv[2:]:\n"
+        "    out = os.path.join(sys.argv[1], str(len(runs)))\n"
+        "    os.mkdir(out)\n"
+        "    text = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(text):\n"
+        "        code = main([command, '--config', command + '.json',\n"
+        "                     '--out', os.path.join(out, 'out')])\n"
+        "    runs.append([code, text.getvalue(), {name: open(os.path.join(out, name)).read()\n"
+        "                                         for name in sorted(os.listdir(out))}])\n"
+        "print(json.dumps(runs))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def run(*commands):
+        out = tempfile.mkdtemp(dir=tmp_path)
+        done = subprocess.run([sys.executable, "-c", script, out, *commands], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    sequence = ["anneal", "sweep", "derive", "decohere", "anneal"]
+    together = run(*sequence)
+    for command, got in zip(sequence, together):
+        assert got == run(command)[0], command
+    assert together[0][0] == EXIT_OK and together[0] == together[-1]
+
+
+NAN_EXPONENT_ENV = {"gamma_ev": 2e159, "density_kg_m3": 1e300, "sound_speed_m_s": 1e10}
+EXPONENT_KEYS = ("environment.gamma_ev, environment.sound_speed_m_s, "
+                 "environment.density_kg_m3, environment.debye_temperature_k")
+
+
+@pytest.mark.parametrize("command, cfg", [("derive", DERIVE_CFG),
+                                          ("decohere", TestDecohere.CFG)])
+def test_nan_renormalization_exponent_is_physics_error(tmp_path, capsys, command, cfg):
+    # inf / inf: the exponent is checked before the report prints a line
+    cfg = dict(cfg, environment=NAN_EXPONENT_ENV)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == EXIT_PHYSICS
+    assert capsys.readouterr() == (
+        "", f"physics error: the renormalization exponent of {EXPONENT_KEYS} is NaN\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, cfg", [("derive", DERIVE_CFG),
+                                          ("decohere", TestDecohere.CFG)])
+@pytest.mark.parametrize("speed, error", [(1.7e308, "(34, 'Numerical result out of range')"),
+                                          (1e-300, "float division by zero")])
+def test_bath_arithmetic_error_names_quantity_and_keys(tmp_path, capsys, command, cfg, speed,
+                                                       error):
+    cfg = dict(cfg, environment={"sound_speed_m_s": speed})
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == EXIT_PHYSICS
+    assert capsys.readouterr() == (
+        "", f"physics error: {error} in the renormalization exponent of {EXPONENT_KEYS}\n")
+    assert not out.exists()
+
+
+def test_superohmic_rate_error_names_delta_key(tmp_path, capsys):
+    # the exponent is finite, but the rate at a delta this large overflows
+    cfg = dict(TestDecohere.CFG, delta_kelvin=[10.0, 1e200])
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["decohere", "--config", path]) == EXIT_PHYSICS
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(" in the superohmic rate of environment.gamma_ev, "
+                                 "environment.sound_speed_m_s, environment.density_kg_m3, "
+                                 "config.delta_kelvin\n")

@@ -1,0 +1,136 @@
+"""Byte-exact outputs of fixed CLI runs, pinned by SHA-256.
+
+Each case runs one ``fgqa`` command in a fresh directory and hashes its
+stdout, its stderr, its exit code and every CSV it writes.  The cases
+cover every sweep parameter, ``derive``, a ``decohere`` whose ``delta_K``
+column repeats (one delta is listed twice) and a uniform ``fg_grid``
+anneal whose histogram holds degenerate energies and repeated
+frequencies, so any change to how a value is computed or formatted shows
+as a changed digest.
+
+To print the digests of the current tree (after a change that is meant
+to move the outputs), run from the repository root:
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from fgqa.cli import main
+
+GEOMETRY = {"length_nm": 10.0, "height_nm": 100.0, "tunnel_oxide_nm": 3.5,
+            "coupling_ratio": 0.3}
+
+
+def _sweep(parameter: str, lo: float, hi: float, points: int = 25, **extra) -> dict:
+    return {"schema_version": 1, "parameter": parameter, "geometry": GEOMETRY,
+            "range": {"min": lo, "max": hi, "points": points}, **extra}
+
+
+# id -> (command, config, extra arguments)
+CASES = {
+    "sweep-L": ("sweep", _sweep("L", 5.0, 15.0), []),
+    "sweep-d_ox": ("sweep", _sweep("d_ox", 2.5, 4.0), []),
+    "sweep-Z_FG": ("sweep", _sweep("Z_FG", 10.0, 100.0), []),
+    "sweep-V_CG": ("sweep", _sweep("V_CG", -1.5, 1.0), []),
+    "sweep-parabola": ("sweep", _sweep("V_CG1-parabola", -1.0, 1.0, points=21,
+                                       n_values=[-2, -1, 0, 1, 2]), []),
+    "derive": ("derive", {"schema_version": 1, "lengths_nm": [5, 10, 15, 7.5, 10, 20],
+                          "tunnel_oxide_nm": 3.5, "fg_height_nm": 100,
+                          "coupling_ratio": 0.3}, []),
+    "decohere": ("decohere", {"schema_version": 1, "delta_kelvin": [10.0, 100.0, 10.0, 0.5],
+                              "time_points": 40}, []),
+    "anneal-fg_grid": ("anneal", {
+        "schema_version": 1,
+        "problem": {"kind": "fg_grid", "rows": 2, "cols": 2, "geometry": GEOMETRY},
+        "schedule": {"t_total": 200.0, "steps": 300, "profile": "exponential"},
+        "shots": 1024}, ["--seed", "5"]),
+}
+
+# SHA-256 of each output, recorded before the CSV writer formatted each
+# distinct value once; the outputs must not have moved since.
+DIGESTS = {
+    "sweep-L": {
+        "exit": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "6b8b1ec77c6538a8039208faeb7dac229e6fee8ae42db67ee2f7ee030111c615",
+    },
+    "sweep-d_ox": {
+        "exit": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "fbeb3712648e936c62690af23ba122283aeff02210b70e3314e4320d12d3d18f",
+    },
+    "sweep-Z_FG": {
+        "exit": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "923ce8781c9d15694fdaff0b1cac23625e453bb5ec21494e39b1e4a30a431b66",
+    },
+    "sweep-V_CG": {
+        "exit": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "9d829c0f79120a13f0a9a246892de7eed74351ad06d32bb7df7b978d847c87b4",
+    },
+    "sweep-parabola": {
+        "exit": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "f0f7c9cd5b1532e2779802a7ba4e0e740c33bc6afee5a0b2325ef91df0fa1c3a",
+    },
+    "derive": {
+        "exit": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "eee4e7400e072853441b2d64c990b09adc970238ac9f855f41e265bbcabe2ce7",
+    },
+    "decohere": {
+        "exit": 0,
+        "stdout": "23a23f6eb863439cc46f731af1c7588d52980f1882c3fd90785a113dbd781256",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "76287008e91642ef6eb67b7f62940a4103214ab7fc628279a43e48cd7f6dc0ae",
+    },
+    "anneal-fg_grid": {
+        "exit": 0,
+        "stdout": "49180be0d770df6d2c8c34bbde21828c8d5ec97def1e58bd412d40aa842850eb",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out_histogram.csv": "6cbfab55011740a807793a9fd1937f73fe416e9d466849e7f37aa864eac6d5d8",
+        "out_trace.csv": "e87d74236c3c441a66d6e3afc13f1fc653a83f44810ecefded8fc6c0c09af174",
+    },
+}
+
+
+def digests(command: str, cfg: dict, extra: list[str]) -> dict:
+    """The exit code and the SHA-256 of stdout, stderr and each CSV of one run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "c.json")
+        path.write_text(json.dumps(cfg))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path), "--out", str(Path(tmp, "out")),
+                         *extra])
+        texts = {"stdout": out.getvalue().encode(), "stderr": err.getvalue().encode()}
+        texts.update((p.name, p.read_bytes()) for p in sorted(Path(tmp).iterdir())
+                     if p != path)
+    return {"exit": code, **{name: hashlib.sha256(data).hexdigest()
+                             for name, data in texts.items()}}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_outputs_match_recorded_digests(case):
+    assert digests(*CASES[case]) == DIGESTS[case]
+
+
+if __name__ == "__main__":
+    print(json.dumps({case: digests(*args) for case, args in CASES.items()}, indent=4))
