@@ -13,16 +13,19 @@ is exactly unitary.  The diagonal half-phases of consecutive steps are
 merged into one phase P, and the rotation angles of all steps come from
 one array call of the schedule.  Two kernels carry the steps, chosen by N alone:
 
-* N <= 7 (``_WALSH_MAX_SITES``): the state is carried in the Walsh-
+* N <= 6 (``_WALSH_MAX_SITES``): the state is carried in the Walsh-
   Hadamard basis, where sum_i sx_i is diagonal, so a step is one
   elementwise phase and one dense 2^N x 2^N matmul by the run's fixed
   mixer H diag(P) H: about 4^N complex multiply-adds in two numpy calls
-  (1.5 us per step up to N = 5, 7 us at N = 7, one BLAS thread on a
+  (1.6 us per step up to N = 3, 3.3 us at N = 6, one BLAS thread on a
   two-core Xeon).
-* N >= 8: the rotations are grouped into blocks of b <= 5 sites, each
-  applied as one dense 2^b x 2^b unitary on a reshaped view of the
-  state, so a step costs about 2^N * sum_b 2^b complex multiply-adds
-  and no 2^N x 2^N matrix is ever formed (10 us at N = 8, 21 us at 10).
+* N >= 7: the state is carried in the gauge i^popcount(s) psi_s, where
+  each single-site rotation is real, and the rotations are grouped into
+  blocks of b <= 4 sites, each applied as one real 2^b x 2^b (or, for
+  site 0's block, 2^(b+1) x 2^(b+1)) matmul on the float view of the
+  state.  A block costs 2^(N+1) * 2^b real multiply-adds (twice that for
+  site 0's block) and no 2^N x 2^N matrix is ever formed (5 us per step
+  at N = 7, 13 us at 10).
 Time is measured in hbar/eV by default ("natural"); with
 ``time_unit="seconds"`` the accumulated phases pick up the hbar/eV
 scale factor.
@@ -153,10 +156,14 @@ class Schedule:
 
 @dataclass
 class EvolutionResult:
+    """Final state, the recorded (t, Delta, <H>) trace, and the Ising
+    energy of every basis state that the run built (``diagonal``)."""
+
     psi: np.ndarray
     times: np.ndarray
     deltas: np.ndarray
     energies: np.ndarray
+    diagonal: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -311,14 +318,15 @@ def _popcount(values: np.ndarray, bits: int) -> np.ndarray:
 
 # Largest site count stepped by the Walsh kernel; larger runs use the
 # blocked one.  Per step, one BLAS thread on a two-core Xeon, fastest of
-# 7 runs of 4000 steps (Walsh / blocked): n = 1..5 1.5-1.8 / 3.5-4.5 us,
-# 6 2.9 / 6.8, 7 7.0 / 8.0, 8 24 / 10, 9 206 / 15.  The Walsh step is a
-# dense 4^n matmul, so it loses fast past the crossover.
-_WALSH_MAX_SITES = 7
+# 42 runs of 4000 steps (Walsh / blocked): n = 1..3 1.6-1.7 / 2.1-2.5 us,
+# 4 1.9 / 4.1, 5 2.3 / 4.9, 6 3.3 / 4.6, 7 8.1 / 5.1, 8 24 / 6.7,
+# 9 202 / 8.6.  The Walsh step is a dense 4^n matmul, so it loses fast
+# past the crossover.
+_WALSH_MAX_SITES = 6
 
 # Steps per table of rotation coefficients.  Bounds the Walsh kernel's
-# table to 256 x 2^7 complex numbers (0.5 MB), where one table for the
-# whole of a 64,000-step anneal would take 131 MB.
+# table to 256 x 2^6 complex numbers (0.25 MB), where one table for the
+# whole of a 64,000-step anneal would take 66 MB.
 _CHUNK_STEPS = 256
 
 
@@ -362,69 +370,115 @@ def _walsh_kernel(n: int, phase: np.ndarray):
     return advance
 
 
-# Sites per transverse-rotation block.  A block of b sites costs 2^n * 2^b
-# multiply-adds in one matmul call, so larger blocks trade arithmetic for
-# fewer calls; 5 keeps n <= 10 at two calls per step, and at n = 16 and 18
-# on a two-core Xeon, blocks of 4 or 5 sites ran at least 1.4x faster
-# than blocks of 3 or 7.
-_BLOCK_SITES = 5
+# Sites per transverse-rotation block.  A block of b sites costs 2^(n+1) * 2^b
+# real multiply-adds in one matmul call, so larger blocks trade
+# arithmetic for fewer calls.  Per step with blocks of at most 3 / 4 / 5 /
+# 6 sites, one BLAS thread on a two-core Xeon, fastest of 15 runs:
+# n = 10 17 / 15 / 21 / 21 us, 14 143 / 128 / 186 / 195 us, 16 1.02 / 0.84 /
+# 0.83 / 1.17 ms, 18 4.5 / 4.5 / 6.0 / 9.4 ms.
+_BLOCK_SITES = 4
 
 
 def _sx_blocks(n: int):
     """Split sites 0..n-1 into ceil(n / _BLOCK_SITES) near-equal contiguous
-    blocks, site 0's block first.
+    blocks, site 0's block first and no larger than any other.
 
-    Returns the blocks as (b, (left, 2^b, right)), the shape that puts the
-    block's b bits on the middle axis of the state, and the Hamming-distance
-    table popcount(r ^ c) over 2^b x 2^b for each block size b.
+    Returns each block as (b, shape, index): the shape of the float view
+    of the state that puts the block's b bits on one axis, and the index
+    of each entry of the block's real rotation in the coefficient rows of
+    :func:`_rotation_coefficients`.  Site 0's block is (left, 2^(b+1)),
+    whose rotation is kron(O^T, I_2) acting from the right; every other
+    block is (left, 2^b, 2 * right), rotated by O from the left.
     """
     count = -(-n // _BLOCK_SITES)
     blocks, lo = [], 0
     for k in range(count):
-        b = n // count + (k < n % count)
-        blocks.append((b, (1 << (n - lo - b), 1 << b, 1 << lo)))
+        b = n // count + (k >= count - n % count)
+        if lo:
+            blocks.append((b, (1 << (n - lo - b), 1 << b, 2 << lo), _rotation_index(b)))
+        else:
+            blocks.append((b, (1 << (n - b), 2 << b), _rotation_index(b, lowest=True)))
         lo += b
-    hamming = {}
-    for b, _ in blocks:
-        hamming[b] = _popcount(np.arange(1 << b)[:, None] ^ np.arange(1 << b), b)
-    return blocks, hamming
+    return blocks
+
+
+def _rotation_index(b: int, lowest: bool = False) -> np.ndarray:
+    """Where each entry of a b-site real rotation sits in a coefficient row.
+
+    Entry (r, c) of O is cos^(b-k) sin^k (-1)^popcount(~r & c) with
+    k = popcount(r ^ c): row entry k, or b + 1 + k when the sign is
+    negative.  With ``lowest`` the index is that of kron(O^T, I_2), whose
+    off-diagonal float pairs take the zero at the end of the row.
+    """
+    r = np.arange(1 << b)[:, None]
+    c = np.arange(1 << b)
+    index = _popcount(r ^ c, b) + (b + 1) * (_popcount(~r & c, b) & 1)
+    if not lowest:
+        return index
+    same = np.eye(2, dtype=bool)[None, :, None, :]
+    return np.where(same, index.T[:, None, :, None], 2 * b + 2).reshape(2 << b, 2 << b)
+
+
+def _rotation_coefficients(thetas: np.ndarray, b: int) -> np.ndarray:
+    """Rows cos^(b-k) sin^k for k = 0..b, then their negatives, then 0:
+    one row per angle, indexed by :func:`_rotation_index`."""
+    c = np.cos(thetas)[:, None]
+    s = np.sin(thetas)[:, None]
+    row = c ** (b - np.arange(b + 1)) * s ** np.arange(b + 1)
+    return np.concatenate((row, -row, np.zeros_like(c)), axis=1)
 
 
 def _blocked_kernel(n: int, phase: np.ndarray):
-    """Stepper applying each rotation as one matmul per site block.
+    """Stepper applying each rotation as one real matmul per site block.
 
-    The single-site rotations commute, so on a block of b sites they
-    multiply to the 2^b x 2^b Kronecker product with entry (r, c) =
-    cos^(b-k) (-i sin)^k, k = popcount(r ^ c): symmetric, and the same
-    for any order of the bits within the block.
+    The state is carried in the gauge psi'_s = i^popcount(s) psi_s, which
+    commutes with the diagonal phase and turns each factor exp(-i theta sx)
+    into the real rotation [[cos, -sin], [sin, cos]].  The single-site
+    rotations commute, so on a block of b sites they multiply to a real
+    orthogonal 2^b x 2^b Kronecker product (see :func:`_rotation_index`),
+    the same for any order of the bits within the block.  It acts on the
+    real and imaginary parts of the state alike: one real matmul on the
+    float view.  The gauge goes on when ``advance`` starts and comes off
+    when it ends, each as two broadcast multiplies by powers of i over the
+    high and the low half of the index bits: exact, and with no array the
+    size of the state.
 
     Returns ``advance(chi, thetas)`` as :func:`_walsh_kernel` does, but
     overwriting ``chi``.
     """
-    blocks, hamming = _sx_blocks(n)
+    blocks = _sx_blocks(n)
+    powers = np.array([1.0, 1.0j, -1.0, -1.0j])
+    halves = (1 << (n - n // 2), 1 << (n // 2))
+    counts = [_popcount(np.arange(m), n) for m in halves]
+
+    def gauge(chi: np.ndarray, sign: int) -> None:
+        rows = chi.reshape(halves)
+        rows *= powers[sign * counts[0] % 4][:, None]
+        rows *= powers[sign * counts[1] % 4]
 
     def advance(chi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        gauge(chi, 1)
         # each matmul writes into the other of two state-size buffers
-        spare = np.empty_like(chi)
+        buffers = (chi, np.empty_like(chi))
+        views = [[buffer.view(np.float64).reshape(shape) for _, shape, _ in blocks]
+                 for buffer in buffers]
+        current = 0
         for lo in range(0, thetas.shape[0], _CHUNK_STEPS):
             chunk = thetas[lo:lo + _CHUNK_STEPS]
-            c = np.cos(chunk)[:, None]
-            s = -1j * np.sin(chunk)[:, None]
-            coefficients = {b: c ** (b - np.arange(b + 1)) * s ** np.arange(b + 1)
-                            for b in hamming}
+            coefficients = {b: _rotation_coefficients(chunk, b) for b, _, _ in blocks}
             for k in range(chunk.shape[0]):
                 if lo or k:
-                    chi *= phase
-                unitary = {b: coefficients[b][k][table] for b, table in hamming.items()}
-                for b, (left, width, right) in blocks:
-                    if right == 1:
-                        np.matmul(chi.reshape(left, width), unitary[b],
-                                  out=spare.reshape(left, width))
+                    np.multiply(buffers[current], phase, out=buffers[current])
+                for i, (b, shape, index) in enumerate(blocks):
+                    rotation = coefficients[b][k][index]
+                    state, out = views[current][i], views[1 - current][i]
+                    if len(shape) == 2:     # site 0's block: kron(O^T, I_2)
+                        np.dot(state, rotation, out=out)
                     else:
-                        np.matmul(unitary[b], chi.reshape(left, width, right),
-                                  out=spare.reshape(left, width, right))
-                    chi, spare = spare, chi
-        return chi
+                        np.matmul(rotation, state, out=out)
+                    current = 1 - current
+        gauge(buffers[current], -1)
+        return buffers[current]
 
     return advance
 
@@ -485,7 +539,7 @@ def evolve(model: IsingModel, schedule: Schedule, psi0: np.ndarray | None = None
             record(stop)
         start = stop
     return EvolutionResult(psi=psi, times=np.array(times), deltas=np.array(deltas),
-                           energies=np.array(energies))
+                           energies=np.array(energies), diagonal=diag)
 
 
 def measure(psi: np.ndarray, shots: int, seed: int) -> dict[str, int]:
@@ -518,13 +572,17 @@ def brute_force_ground_state(model: IsingModel) -> GroundState:
     if model.n_sites > MAX_BRUTE_FORCE_SITES:
         raise ValueError(f"brute force is limited to {MAX_BRUTE_FORCE_SITES} sites, "
                          f"got {model.n_sites}")
-    energies = diagonal_energies(model)
+    return _ground_state(model.n_sites, diagonal_energies(model))
+
+
+def _ground_state(n: int, energies: np.ndarray) -> GroundState:
+    """Minimum of the Ising ``energies`` of all 2^n basis states, with
+    every minimiser."""
     e_min = float(energies.min())
     tol = 1e-12 * max(1.0, abs(e_min))
     minimisers = np.flatnonzero(energies <= e_min + tol)
     return GroundState(energy=e_min,
-                       states=tuple(state_string(model.n_sites, int(i))
-                                    for i in minimisers))
+                       states=tuple(state_string(n, int(i)) for i in minimisers))
 
 
 def success_probability(model: IsingModel, psi: np.ndarray) -> float:

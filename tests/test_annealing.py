@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from fgqa.annealing import (
     state_string,
     success_probability,
 )
-from fgqa.annealing import _CHUNK_STEPS, _WALSH_MAX_SITES, _blocked_kernel, _walsh_kernel
+from fgqa.annealing import (_CHUNK_STEPS, _WALSH_MAX_SITES, _blocked_kernel,
+                            _rotation_coefficients, _rotation_index, _sx_blocks,
+                            _walsh_kernel)
 from fgqa.cells import BiasSet, CellGeometry, MaterialStack, cell_from_coupling_ratio
 from fgqa.charging import ising_parameters, reduce_network
 from fgqa.cells import build_network
@@ -93,6 +96,13 @@ def blocked_rotation(psi, theta):
         psi.copy(), np.array([theta]))
 
 
+def block_count_steps(largest=17):
+    """Site counts on either side of each rise in the number of blocks."""
+    counts = {n: len(_sx_blocks(n)) for n in range(1, largest + 1)}
+    return sorted({m for n in range(2, largest + 1) if counts[n] != counts[n - 1]
+                   for m in (n - 1, n)})
+
+
 def strang_reference(model, schedule, psi0):
     """Step-by-step Strang splitting with per-site flips, angles from scalar calls."""
     dt = schedule.t_total / schedule.steps
@@ -112,12 +122,34 @@ class TestTransverseRotation:
         np.testing.assert_allclose(blocked_rotation(psi, theta),
                                    expm(-1j * theta * sx_sum) @ psi, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("n", (5, 6, 10, 11, 15, 16))
+    @pytest.mark.parametrize("n", block_count_steps())
     def test_matches_per_site_flips_at_block_boundaries(self, rng, n):
         psi = random_state(rng, n)
         for theta in (0.05, 1.3):
             np.testing.assert_allclose(blocked_rotation(psi, theta),
                                        flip_rotation(psi, theta), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("b", range(1, 5))
+    def test_real_block_is_gauged_kronecker_rotation(self, b):
+        theta = 0.37
+        single = expm(-1j * theta * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        unitary = np.array([[1.0]])
+        for _ in range(b):
+            unitary = np.kron(unitary, single)
+        counts = [bin(s).count("1") for s in range(2**b)]
+        gauge = np.diag(np.array([1, 1j, -1, -1j])[np.array(counts) % 4])
+        row = _rotation_coefficients(np.array([theta]), b)[0]
+        rotation = row[_rotation_index(b)]
+        np.testing.assert_allclose(rotation, gauge @ unitary @ gauge.conj(), rtol=0,
+                                   atol=1e-15)
+        np.testing.assert_array_equal(row[_rotation_index(b, lowest=True)],
+                                      np.kron(rotation.T, np.eye(2)))
+
+    @pytest.mark.parametrize("n", (7, 8, 13))
+    def test_gauge_round_trip_leaves_state_unchanged(self, rng, n):
+        psi = random_state(rng, n)
+        out = _blocked_kernel(n, np.ones(2**n))(psi.copy(), np.array([]))
+        np.testing.assert_array_equal(out, psi)
 
 
 class TestStepKernels:
@@ -147,7 +179,7 @@ class TestStepKernels:
                                    _blocked_kernel(n, phase)(psi.copy(), thetas),
                                    rtol=0, atol=1e-11)
 
-    @pytest.mark.parametrize("n", (5, 8))
+    @pytest.mark.parametrize("n", (5, 8, 10))
     @pytest.mark.parametrize("steps", (1, 255, 256, 257, 1000))
     def test_chunk_edges(self, rng, n, steps):
         assert _CHUNK_STEPS == 256
@@ -167,6 +199,29 @@ class TestStepKernels:
         expected = np.exp(-3.0j * diagonal_energies(model)) * psi0
         np.testing.assert_allclose(evolve(model, sched, psi0=psi0).psi, expected,
                                    rtol=0, atol=1e-12)
+
+    def test_peak_memory_at_16_sites(self, rng):
+        # psi, the spare buffer, the half and full phases and the half-size
+        # diagonal make 4.5 state sizes, plus numpy's fixed 128 KB buffer for
+        # a broadcast in-place multiply (0.125 here); a full-size gauge array
+        # would make 5.6
+        n = 16
+        model = chain_model(rng.normal(size=n), rng.normal(size=n - 1))
+        sched = Schedule(delta0=2.0, t_total=3.0, steps=30, profile="exponential")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            evolve(model, sched, record_every=7)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.75 * (16 << n)
+
+    def test_result_carries_the_diagonal(self, rng):
+        model = chain_model(rng.normal(size=9), rng.normal(size=8))
+        res = evolve(model, Schedule(delta0=2.0, t_total=1.0, steps=3))
+        np.testing.assert_array_equal(res.diagonal, diagonal_energies(model))
 
     @pytest.mark.parametrize("n", (4, 11, 16))
     def test_recorded_trace(self, rng, n):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fgqa import cli
+from fgqa import annealing, cli
 from fgqa.cells import MaterialStack, build_network, cell_from_coupling_ratio
 from fgqa.charging import parabola_family
 from fgqa.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, _write_csv, emit_config, main,
@@ -381,6 +381,16 @@ class TestAnneal:
         for suffix in ("_histogram.csv", "_trace.csv"):
             assert (tmp_path / f"one{suffix}").read_bytes() == \
                 (tmp_path / f"two{suffix}").read_bytes()
+
+    def test_one_diagonal_per_run(self, tmp_path, capsys, monkeypatch):
+        built = []
+        diagonal_energies = annealing.diagonal_energies
+        monkeypatch.setattr(annealing, "diagonal_energies",
+                            lambda model: built.append(model) or diagonal_energies(model))
+        assert main(["anneal", "--config", write_config(tmp_path, "c.json", ANNEAL_CFG),
+                     "--seed", "7", "--out", str(tmp_path / "run")]) == EXIT_OK
+        assert "exact ground energy" in capsys.readouterr().out
+        assert len(built) == 1
 
     def test_missing_delta0_rejected_for_plain_problems(self, tmp_path):
         cfg = dict(ANNEAL_CFG, schedule={"t_total": 10.0, "steps": 100})
