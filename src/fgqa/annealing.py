@@ -16,16 +16,20 @@ one array call of the schedule.  Two kernels carry the steps, chosen by N alone:
 * N <= 6 (``_WALSH_MAX_SITES``): the state is carried in the Walsh-
   Hadamard basis, where sum_i sx_i is diagonal, so a step is one
   elementwise phase and one dense 2^N x 2^N matmul by the run's fixed
-  mixer H diag(P) H: about 4^N complex multiply-adds in two numpy calls
-  (1.6 us per step up to N = 3, 3.3 us at N = 6, one BLAS thread on a
-  two-core Xeon).
+  mixer H diag(P) H: about 4^N complex multiply-adds in two numpy calls.
 * N >= 7: the state is carried in the gauge i^popcount(s) psi_s, where
   each single-site rotation is real, and the rotations are grouped into
   blocks of b <= 4 sites, each applied as one real 2^b x 2^b (or, for
   site 0's block, 2^(b+1) x 2^(b+1)) matmul on the float view of the
   state.  A block costs 2^(N+1) * 2^b real multiply-adds (twice that for
-  site 0's block) and no 2^N x 2^N matrix is ever formed (5 us per step
-  at N = 7, 13 us at 10).
+  site 0's block) and no 2^N x 2^N matrix is ever formed.  Up to N = 10
+  (``_CYCLED_MAX_SITES``) each block's matmul is one 2-D product that
+  also cycles the block's bits to the bottom of the index, so a step is
+  one phase multiply and one matmul per block; above, the blocks are
+  applied in place.
+Per step, one BLAS thread on a two-core Xeon: 1.3 us at N <= 3, 3.2 us
+at 6, 3.8 us at 7, 8.7 us at 10, 0.13 ms at 14 and 0.87 ms at 16 (the
+table at ``_CYCLED_MAX_SITES``).
 Time is measured in hbar/eV by default ("natural"); with
 ``time_unit="seconds"`` the accumulated phases pick up the hbar/eV
 scale factor.
@@ -318,10 +322,12 @@ def _popcount(values: np.ndarray, bits: int) -> np.ndarray:
 
 # Largest site count stepped by the Walsh kernel; larger runs use the
 # blocked one.  Per step, one BLAS thread on a two-core Xeon, fastest of
-# 42 runs of 4000 steps (Walsh / blocked): n = 1..3 1.6-1.7 / 2.1-2.5 us,
-# 4 1.9 / 4.1, 5 2.3 / 4.9, 6 3.3 / 4.6, 7 8.1 / 5.1, 8 24 / 6.7,
-# 9 202 / 8.6.  The Walsh step is a dense 4^n matmul, so it loses fast
-# past the crossover.
+# 42 runs of 2000 steps taken in turn (Walsh / blocked): n = 1..3
+# 2.0-2.1 / 2.6-3.0 us, 4 2.2 / 4.0, 5 2.7 / 4.3, 6 3.9 / 4.6, 7 7.3 / 3.6,
+# 8 28 / 4.7, 9 225 / 8.5.  The Walsh step is a dense 4^n matmul, so it
+# loses fast past the crossover.  Absolute times on a shared host move by
+# up to 2x from one process to the next; the kernels' step times before
+# and after the cycled layout are tabled at _CYCLED_MAX_SITES.
 _WALSH_MAX_SITES = 6
 
 # Steps per table of rotation coefficients.  Bounds the Walsh kernel's
@@ -355,51 +361,65 @@ def _walsh_kernel(n: int, phase: np.ndarray):
     levels = n - 2.0 * np.arange(n + 1)
 
     def advance(chi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        phi = walsh @ chi
+        # each mixer product writes into the other of two buffers
+        phi, spare = walsh @ chi, np.empty_like(chi)
         for lo in range(0, thetas.shape[0], _CHUNK_STEPS):
             chunk = thetas[lo:lo + _CHUNK_STEPS]
             rotations = np.exp(-1j * np.multiply.outer(chunk, levels))[:, counts]
             if lo:
-                phi = mixer @ phi
+                np.dot(mixer, phi, out=spare)
+                phi, spare = spare, phi
             for d in rotations[:-1]:
                 phi *= d
-                phi = mixer @ phi
+                np.dot(mixer, phi, out=spare)
+                phi, spare = spare, phi
             phi *= rotations[-1]
         return walsh @ phi
 
     return advance
 
 
-# Sites per transverse-rotation block.  A block of b sites costs 2^(n+1) * 2^b
-# real multiply-adds in one matmul call, so larger blocks trade
-# arithmetic for fewer calls.  Per step with blocks of at most 3 / 4 / 5 /
-# 6 sites, one BLAS thread on a two-core Xeon, fastest of 15 runs:
-# n = 10 17 / 15 / 21 / 21 us, 14 143 / 128 / 186 / 195 us, 16 1.02 / 0.84 /
-# 0.83 / 1.17 ms, 18 4.5 / 4.5 / 6.0 / 9.4 ms.
+# Most sites per transverse-rotation block.  A block of b sites costs
+# 2^(n+1) * 2^b real multiply-adds in one matmul call, so larger blocks
+# trade arithmetic for fewer calls.  Per step in the in-place layout with
+# blocks of at most 3 / 4 / 5 / 6 sites, one BLAS thread on a two-core
+# Xeon, fastest of 15 runs: n = 14 143 / 128 / 186 / 195 us, 16 1.02 /
+# 0.84 / 0.83 / 1.17 ms, 18 4.5 / 4.5 / 6.0 / 9.4 ms.
 _BLOCK_SITES = 4
 
+# Largest site count stepped in the cycled layout (see _blocked_kernel);
+# larger runs are stepped in place.  Per step, one BLAS thread on a
+# two-core Xeon, fastest of 75 runs taken in turn (cycled / in place, us):
+# n = 7 3.5 / 5.9, 8 4.0 / 7.5, 9 5.7 / 9.2, 10 8.6 / 13, 11 15 / 19,
+# 12 30 / 36, 13 62 / 61, 14 127 / 130, 15 468 / 331, 16 1112 / 813.
+# The cycled layout's 2-D products read the state with a stride of
+# 2^(n+1-m) floats for an m-bit block, which stops paying once the state
+# outgrows the cache; at n = 13-14 the gain is within run-to-run spread.
+# The limit is the largest n below 16 that the benchmark anneals.  Per
+# step against the kernels before the cycled layout and the Walsh kernel's
+# product buffer (old / new, us, fastest of 372 runs taken in turn):
+# n = 1 1.6 / 1.3, 2 1.6 / 1.3, 3 1.6 / 1.3, 4 1.8 / 1.5, 5 2.1 / 1.8,
+# 6 3.3 / 3.2, 7 5.1 / 3.8, 8 6.7 / 4.3, 9 9.0 / 6.0, 10 12 / 8.7,
+# 11 19 / 20, 12 36 / 36, 13 65 / 66, 14 127 / 128, 15 321 / 344,
+# 16 844 / 874.  At n >= 11 both step in place with the same arithmetic,
+# and the new step is up to 7% slower: it refills a one-step table where
+# the old one indexed a new matrix.
+_CYCLED_MAX_SITES = 10
 
-def _sx_blocks(n: int):
-    """Split sites 0..n-1 into ceil(n / _BLOCK_SITES) near-equal contiguous
-    blocks, site 0's block first and no larger than any other.
 
-    Returns each block as (b, shape, index): the shape of the float view
-    of the state that puts the block's b bits on one axis, and the index
-    of each entry of the block's real rotation in the coefficient rows of
-    :func:`_rotation_coefficients`.  Site 0's block is (left, 2^(b+1)),
-    whose rotation is kron(O^T, I_2) acting from the right; every other
-    block is (left, 2^b, 2 * right), rotated by O from the left.
-    """
-    count = -(-n // _BLOCK_SITES)
-    blocks, lo = [], 0
-    for k in range(count):
-        b = n // count + (k >= count - n % count)
-        if lo:
-            blocks.append((b, (1 << (n - lo - b), 1 << b, 2 << lo), _rotation_index(b)))
-        else:
-            blocks.append((b, (1 << (n - b), 2 << b), _rotation_index(b, lowest=True)))
-        lo += b
-    return blocks
+def _sx_blocks(n: int) -> tuple[int, ...]:
+    """Sites per block, from site 0's block up: near-equal contiguous
+    blocks of at most ``_BLOCK_SITES`` sites, site 0's the smallest.  In
+    the cycled layout site 0's block also carries the float view's re/im
+    bit, which counts as one of its sites.  That gives the fastest split
+    measured at n = 7, 8 and 10; at 9 it gives (2, 3, 4), 0.4 us per step
+    slower than (3, 3, 3)."""
+    extra = int(n <= _CYCLED_MAX_SITES)
+    bits = n + extra
+    count = -(-bits // _BLOCK_SITES)
+    sizes = [bits // count + (k >= count - bits % count) for k in range(count)]
+    sizes[0] -= extra
+    return tuple(sizes)
 
 
 def _rotation_index(b: int, lowest: bool = False) -> np.ndarray:
@@ -438,15 +458,48 @@ def _blocked_kernel(n: int, phase: np.ndarray):
     orthogonal 2^b x 2^b Kronecker product (see :func:`_rotation_index`),
     the same for any order of the bits within the block.  It acts on the
     real and imaginary parts of the state alike: one real matmul on the
-    float view.  The gauge goes on when ``advance`` starts and comes off
-    when it ends, each as two broadcast multiplies by powers of i over the
-    high and the low half of the index bits: exact, and with no array the
-    size of the state.
+    float view, whose lowest index bit is the re/im one; site 0's block
+    takes that bit along, as kron(O^T, I_2).  The gauge goes on when
+    ``advance`` starts and comes off when it ends, each as two broadcast
+    multiplies by powers of i over the high and the low half of the index
+    bits: exact, and with no array the size of the state.
+
+    Up to ``_CYCLED_MAX_SITES`` the blocks are applied from the top down
+    in the cycled layout: each is one 2-D product X^T M^T of
+    X = (block bits, other bits), written as (other bits, block bits), so
+    it rotates the block's bits from the top of the float index to the
+    bottom, and after site 0's block every bit is back in place.  The
+    block matrices of up to ``_CHUNK_STEPS`` steps are built into tables
+    first, a few numpy calls per chunk instead of per step.  Above that
+    the blocks are applied in place, site 0's on the (other, block) view
+    and every other one as a stacked matmul on (high, block, low), and the
+    tables hold one step, so they stay small next to the state.
 
     Returns ``advance(chi, thetas)`` as :func:`_walsh_kernel` does, but
     overwriting ``chi``.
     """
-    blocks = _sx_blocks(n)
+    sizes = _sx_blocks(n)
+    cycled = n <= _CYCLED_MAX_SITES
+    table_steps = _CHUNK_STEPS if cycled else 1
+    # each block as (b, lowest, shape): site 0's block or not, and the
+    # float view of the state that its matmul writes (and, in place, reads)
+    blocks, lo = [], 0
+    for b in sizes:
+        if not lo:
+            shape = (-1, 2 << b)
+        elif cycled:
+            shape = (-1, 1 << b)
+        else:
+            shape = (1 << (n - lo - b), 1 << b, 2 << lo)
+        blocks.append((b, not lo, shape))
+        lo += b
+    if cycled:
+        blocks.reverse()
+    # the coefficient index of each distinct block matrix: kron(O^T, I_2)
+    # for site 0's block, O^T for the others in the cycled layout (all
+    # multiply from the right), O for the stacked ones in place
+    indices = {(b, lowest): _rotation_index(b, lowest) if lowest or not cycled
+               else _rotation_index(b).T for b, lowest, _ in blocks}
     powers = np.array([1.0, 1.0j, -1.0, -1.0j])
     halves = (1 << (n - n // 2), 1 << (n // 2))
     counts = [_popcount(np.arange(m), n) for m in halves]
@@ -460,23 +513,38 @@ def _blocked_kernel(n: int, phase: np.ndarray):
         gauge(chi, 1)
         # each matmul writes into the other of two state-size buffers
         buffers = (chi, np.empty_like(chi))
-        views = [[buffer.view(np.float64).reshape(shape) for _, shape, _ in blocks]
-                 for buffer in buffers]
+        flat = [buffer.view(np.float64) for buffer in buffers]
+        steps = min(table_steps, thetas.shape[0])
+        tables = {key: np.empty((steps, *index.shape)) for key, index in indices.items()}
+        # (in view, out view, table, left) of each block, for a step that
+        # starts in buffer 0 and for one that starts in buffer 1; a cycled
+        # block reads (block bits, other bits) as its transpose
+        plans = [[], []]
+        for start, plan in enumerate(plans):
+            for i, (b, lowest, shape) in enumerate(blocks):
+                source, target = flat[start ^ (i & 1)], flat[1 - (start ^ (i & 1))]
+                state = source.reshape(shape[::-1]).T if cycled else source.reshape(shape)
+                plan.append((state, target.reshape(shape), tables[b, lowest], len(shape) == 3))
         current = 0
         for lo in range(0, thetas.shape[0], _CHUNK_STEPS):
             chunk = thetas[lo:lo + _CHUNK_STEPS]
-            coefficients = {b: _rotation_coefficients(chunk, b) for b, _, _ in blocks}
+            coefficients = {b: _rotation_coefficients(chunk, b) for b in set(sizes)}
             for k in range(chunk.shape[0]):
+                row = k % steps
+                if not row:     # the tables' next steps
+                    for (b, lowest), index in indices.items():
+                        rows = coefficients[b][k:k + steps]
+                        # mode="clip" writes straight into ``out``; "raise" buffers it
+                        rows.take(index, axis=1, out=tables[b, lowest][:rows.shape[0]],
+                                  mode="clip")
                 if lo or k:
                     np.multiply(buffers[current], phase, out=buffers[current])
-                for i, (b, shape, index) in enumerate(blocks):
-                    rotation = coefficients[b][k][index]
-                    state, out = views[current][i], views[1 - current][i]
-                    if len(shape) == 2:     # site 0's block: kron(O^T, I_2)
-                        np.dot(state, rotation, out=out)
+                for state, out, table, left in plans[current]:
+                    if left:
+                        np.matmul(table[row], state, out=out)
                     else:
-                        np.matmul(rotation, state, out=out)
-                    current = 1 - current
+                        np.dot(state, table[row], out=out)
+                current ^= len(blocks) & 1
         gauge(buffers[current], -1)
         return buffers[current]
 
@@ -569,28 +637,48 @@ def brute_force_ground_state(model: IsingModel) -> GroundState:
     Independent of the annealer: plain enumeration of all 2^n spin
     assignments, limited to n <= 20.
     """
+    _check_brute_force(model)
+    return _ground_state(model.n_sites, diagonal_energies(model))
+
+
+def _check_brute_force(model: IsingModel) -> None:
     if model.n_sites > MAX_BRUTE_FORCE_SITES:
         raise ValueError(f"brute force is limited to {MAX_BRUTE_FORCE_SITES} sites, "
                          f"got {model.n_sites}")
-    return _ground_state(model.n_sites, diagonal_energies(model))
+
+
+def _minimisers(energies: np.ndarray) -> tuple[float, np.ndarray]:
+    """Minimum of ``energies`` and the indices of every entry within
+    1e-12 * max(1, |minimum|) of it."""
+    e_min = float(energies.min())
+    tol = 1e-12 * max(1.0, abs(e_min))
+    return e_min, np.flatnonzero(energies <= e_min + tol)
 
 
 def _ground_state(n: int, energies: np.ndarray) -> GroundState:
     """Minimum of the Ising ``energies`` of all 2^n basis states, with
     every minimiser."""
-    e_min = float(energies.min())
-    tol = 1e-12 * max(1.0, abs(e_min))
-    minimisers = np.flatnonzero(energies <= e_min + tol)
+    e_min, minimisers = _minimisers(energies)
     return GroundState(energy=e_min,
                        states=tuple(state_string(n, int(i)) for i in minimisers))
 
 
-def success_probability(model: IsingModel, psi: np.ndarray) -> float:
-    """Total |amplitude|^2 carried by the exact ground-state set."""
-    ground = brute_force_ground_state(model)
-    p = np.abs(np.asarray(psi)) ** 2
-    idx = [int(st[::-1], 2) for st in ground.states]
-    return float(sum(p[i] for i in idx))
+def success_probability(model: IsingModel, psi: np.ndarray, *,
+                        diagonal: np.ndarray | None = None) -> float:
+    """Total |amplitude|^2 carried by the exact ground-state set.
+
+    ``diagonal``, the Ising energy of every basis state (as
+    ``EvolutionResult.diagonal`` holds it), saves building it again; without
+    it the model is enumerated as by :func:`brute_force_ground_state`.
+    """
+    if diagonal is None:
+        _check_brute_force(model)
+        diagonal = diagonal_energies(model)
+    elif np.shape(diagonal) != (1 << model.n_sites,):
+        raise ValueError(f"diagonal must have shape ({1 << model.n_sites},), "
+                         f"got {np.shape(diagonal)}")
+    p = np.abs(np.asarray(psi)[_minimisers(diagonal)[1]]) ** 2
+    return float(sum(p))
 
 
 def device_parameters(geom: CellGeometry, mat: MaterialStack, bias: BiasSet | None = None,

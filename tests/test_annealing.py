@@ -24,9 +24,9 @@ from fgqa.annealing import (
     state_string,
     success_probability,
 )
-from fgqa.annealing import (_CHUNK_STEPS, _WALSH_MAX_SITES, _blocked_kernel,
-                            _rotation_coefficients, _rotation_index, _sx_blocks,
-                            _walsh_kernel)
+from fgqa.annealing import (_BLOCK_SITES, _CHUNK_STEPS, _CYCLED_MAX_SITES, _WALSH_MAX_SITES,
+                            MAX_SITES, _blocked_kernel, _rotation_coefficients,
+                            _rotation_index, _sx_blocks, _walsh_kernel)
 from fgqa.cells import BiasSet, CellGeometry, MaterialStack, cell_from_coupling_ratio
 from fgqa.charging import ising_parameters, reduce_network
 from fgqa.cells import build_network
@@ -96,13 +96,6 @@ def blocked_rotation(psi, theta):
         psi.copy(), np.array([theta]))
 
 
-def block_count_steps(largest=17):
-    """Site counts on either side of each rise in the number of blocks."""
-    counts = {n: len(_sx_blocks(n)) for n in range(1, largest + 1)}
-    return sorted({m for n in range(2, largest + 1) if counts[n] != counts[n - 1]
-                   for m in (n - 1, n)})
-
-
 def strang_reference(model, schedule, psi0):
     """Step-by-step Strang splitting with per-site flips, angles from scalar calls."""
     dt = schedule.t_total / schedule.steps
@@ -122,7 +115,9 @@ class TestTransverseRotation:
         np.testing.assert_allclose(blocked_rotation(psi, theta),
                                    expm(-1j * theta * sx_sum) @ psi, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("n", block_count_steps())
+    # every size from 2 to 17: both layouts, their crossover at
+    # _CYCLED_MAX_SITES and each rise in the number of blocks
+    @pytest.mark.parametrize("n", range(2, 18))
     def test_matches_per_site_flips_at_block_boundaries(self, rng, n):
         psi = random_state(rng, n)
         for theta in (0.05, 1.3):
@@ -179,7 +174,8 @@ class TestStepKernels:
                                    _blocked_kernel(n, phase)(psi.copy(), thetas),
                                    rtol=0, atol=1e-11)
 
-    @pytest.mark.parametrize("n", (5, 8, 10))
+    # Walsh, cycled with an even and an odd number of blocks, in place
+    @pytest.mark.parametrize("n", (5, 7, 8, 10, 11))
     @pytest.mark.parametrize("steps", (1, 255, 256, 257, 1000))
     def test_chunk_edges(self, rng, n, steps):
         assert _CHUNK_STEPS == 256
@@ -238,12 +234,59 @@ class TestStepKernels:
         expected = np.vdot(res.psi, apply_hamiltonian(model, res.deltas[-1], res.psi)).real
         assert abs(res.energies[-1] - expected) <= 1e-12 * max(1.0, abs(expected))
 
-    @pytest.mark.parametrize("n", (5, 9))
+    @pytest.mark.parametrize("n", (5, 9, 12))
     def test_recording_does_not_change_state(self, rng, n):
         model = chain_model(rng.normal(size=n), rng.normal(size=n - 1))
         sched = Schedule(delta0=2.0, t_total=40.0, steps=800, profile="exponential")
-        np.testing.assert_allclose(evolve(model, sched, record_every=300).psi,
-                                   evolve(model, sched).psi, rtol=0, atol=1e-12)
+        unrecorded = evolve(model, sched).psi
+        for record_every in (300, 100):     # 100 cuts a 256-step rotation table
+            np.testing.assert_allclose(evolve(model, sched, record_every=record_every).psi,
+                                       unrecorded, rtol=0, atol=1e-12)
+
+
+class TestBlockPlan:
+    """The blocked kernel in both layouts: cycled up to _CYCLED_MAX_SITES,
+    in place above, each with its own table length."""
+
+    @pytest.mark.parametrize("n", range(1, MAX_SITES + 1))
+    def test_blocks_cover_every_site_once(self, n):
+        sizes = _sx_blocks(n)
+        # contiguous blocks from site 0 up, so covering 0..n-1 once is
+        # positive sizes that sum to n
+        assert sum(sizes) == n and min(sizes) >= 1
+        assert max(sizes) <= _BLOCK_SITES
+        assert sizes[0] == min(sizes)   # site 0's block is first and the smallest
+        # near-equal, once the cycled layout counts the re/im bit in site 0's block
+        bits = (sizes[0] + (n <= _CYCLED_MAX_SITES),) + sizes[1:]
+        assert max(bits) - min(bits) <= 1
+
+    @pytest.mark.parametrize("n", range(2, _CYCLED_MAX_SITES + 3))
+    def test_every_size_matches_strang_reference(self, rng, n):
+        psi = random_state(rng, n)
+        model = chain_model(rng.normal(size=n), rng.normal(size=n - 1))
+        sched = Schedule(delta0=2.0, t_total=1.0, steps=20, profile="exponential")
+        np.testing.assert_allclose(evolve(model, sched, psi0=psi).psi,
+                                   strang_reference(model, sched, psi), rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_tables_stay_small(self, rng, n):
+        # beyond the spare state buffer, an advance holds its rotation
+        # tables, the coefficient rows and numpy's 128 KB broadcast buffer:
+        # a fixed 2.5 MB at most, however large the state
+        phase = np.exp(-1j * rng.uniform(0.0, 0.1, 2**n))
+        steps = _CHUNK_STEPS + 1 if n <= _CYCLED_MAX_SITES else 3
+        thetas = np.linspace(0.3, 0.01, steps)
+        advance = _blocked_kernel(n, phase)
+        psi = random_state(rng, n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            advance(psi, thetas)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak - (16 << n) <= 2.5 * 2**20
 
 
 class TestChainModel:
@@ -395,6 +438,32 @@ class TestEvolve:
         assert res.deltas[-1] > 0.0
         expected = np.vdot(res.psi, apply_hamiltonian(model, res.deltas[-1], res.psi)).real
         assert abs(res.energies[-1] - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+class TestSuccessProbability:
+    @staticmethod
+    def by_bitstrings(model, psi):
+        """The probability summed over the ground bitstrings, each read back
+        as an index."""
+        p = np.abs(np.asarray(psi)) ** 2
+        idx = [int(st[::-1], 2) for st in brute_force_ground_state(model).states]
+        return float(sum(p[i] for i in idx))
+
+    @pytest.mark.parametrize("n", (1, 4, 7, 10))
+    def test_matches_bitstring_sum(self, rng, n):
+        for model in (chain_model(rng.normal(size=n), rng.normal(size=n - 1)),
+                      chain_model(np.zeros(n), [1.0]),      # two ground states
+                      IsingModel(n, np.zeros(n), ())):        # every state is ground
+            psi = random_state(rng, n)
+            expected = self.by_bitstrings(model, psi)
+            assert success_probability(model, psi) == expected
+            diagonal = diagonal_energies(model)
+            assert success_probability(model, psi, diagonal=diagonal) == expected
+
+    def test_rejects_a_diagonal_of_the_wrong_size(self, rng):
+        model = chain_model(rng.normal(size=4), rng.normal(size=3))
+        with pytest.raises(ValueError, match="diagonal must have shape"):
+            success_probability(model, random_state(rng, 4), diagonal=np.zeros(8))
 
 
 class TestMeasure:
