@@ -24,9 +24,9 @@ from fgqa.annealing import (
     state_string,
     success_probability,
 )
-from fgqa.annealing import (_BLOCK_SITES, _CHUNK_STEPS, _CYCLED_MAX_SITES, _WALSH_MAX_SITES,
-                            MAX_SITES, _blocked_kernel, _rotation_coefficients,
-                            _rotation_index, _sx_blocks, _walsh_kernel)
+from fgqa.annealing import (_BLOCK_SITES, _CHUNK_STEPS, _CYCLED_MAX_SITES, _GRAM_SITES,
+                            _WALSH_MAX_SITES, MAX_SITES, _blocked_kernel, _gauge_sx_weights,
+                            _rotation_coefficients, _rotation_index, _sx_blocks, _walsh_kernel)
 from fgqa.cells import BiasSet, CellGeometry, MaterialStack, cell_from_coupling_ratio
 from fgqa.charging import ising_parameters, reduce_network
 from fgqa.cells import build_network
@@ -90,10 +90,18 @@ def flip_rotation(psi, theta):
     return psi
 
 
+def run_kernel(kernel, phase, thetas, psi):
+    """Every step of ``kernel``'s stepper, with ``phase`` between steps and
+    no half phases, on a copy of ``psi``; the final state."""
+    n = psi.shape[0].bit_length() - 1
+    advance, _, state = kernel(n, phase, np.ones(1 << n, complex), thetas, psi.copy())
+    advance(thetas.shape[0])
+    return state()
+
+
 def blocked_rotation(psi, theta):
     """exp(-i theta sum sx) psi as one step of the blocked kernel."""
-    return _blocked_kernel(psi.shape[0].bit_length() - 1, np.ones(psi.shape[0]))(
-        psi.copy(), np.array([theta]))
+    return run_kernel(_blocked_kernel, np.ones(psi.shape[0]), np.array([theta]), psi)
 
 
 def strang_reference(model, schedule, psi0):
@@ -104,6 +112,38 @@ def strang_reference(model, schedule, psi0):
     for k in range(schedule.steps):
         psi = half * flip_rotation(half * psi, schedule.delta_at((k + 0.5) * dt) * dt)
     return psi
+
+
+def strang_states(model, schedule, psi0):
+    """The state after every step of :func:`strang_reference`, from step 0,
+    with each site's rotation applied by flipping an axis of the state."""
+    dt = schedule.t_total / schedule.steps
+    half = np.exp(-0.5j * diagonal_energies(model) * dt)
+    psi = np.array(psi0, dtype=complex)
+    states = [psi]
+    for k in range(schedule.steps):
+        theta = schedule.delta_at((k + 0.5) * dt) * dt
+        psi = half * psi
+        for site in range(model.n_sites):
+            by_bit = psi.reshape(-1, 2, 1 << site)
+            psi = (math.cos(theta) * by_bit - 1j * math.sin(theta) * by_bit[:, ::-1]).ravel()
+        psi = half * psi
+        states.append(psi)
+    return states
+
+
+def gauged(psi):
+    """i^popcount(s) psi_s."""
+    return np.array([1, 1j, -1, -1j])[[bin(s).count("1") % 4 for s in range(psi.shape[0])]] * psi
+
+
+def gauge_sx(gauged_psi, i):
+    """<sx_i> from the gauge state psi'_s = i^popcount(s) psi_s:
+    2 sum over s with bit i clear of (Re psi'_s Im psi'_t - Im psi'_s Re psi'_t),
+    t = s with bit i set."""
+    clear = np.flatnonzero((np.arange(gauged_psi.shape[0]) >> i) & 1 == 0)
+    a, b = gauged_psi[clear], gauged_psi[clear | 1 << i]
+    return 2.0 * float(np.sum(a.real * b.imag - a.imag * b.real))
 
 
 class TestTransverseRotation:
@@ -143,8 +183,23 @@ class TestTransverseRotation:
     @pytest.mark.parametrize("n", (7, 8, 13))
     def test_gauge_round_trip_leaves_state_unchanged(self, rng, n):
         psi = random_state(rng, n)
-        out = _blocked_kernel(n, np.ones(2**n))(psi.copy(), np.array([]))
+        out = run_kernel(_blocked_kernel, np.ones(2**n), np.array([0.0]), psi)
         np.testing.assert_array_equal(out, psi)
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_gauge_frame_sx_formula(self, rng, n):
+        # the formula by itself, and as the Gram-matrix weights of the lowest
+        # _GRAM_SITES sites that the blocked kernel's records use
+        model = chain_model(rng.normal(size=n), rng.normal(size=n - 1))
+        psi = random_state(rng, n)
+        delta = 0.7
+        sx = [gauge_sx(gauged(psi), i) for i in range(n)]
+        expected = np.vdot(psi, apply_hamiltonian(model, delta, psi)).real
+        energy = np.dot(diagonal_energies(model), np.abs(psi) ** 2) + delta * sum(sx)
+        assert energy == pytest.approx(expected, rel=1e-13, abs=0)
+        rows = gauged(psi).view(np.float64).reshape(-1, 2 << _GRAM_SITES)
+        low = np.vdot(rows.T @ rows, _gauge_sx_weights(_GRAM_SITES))
+        assert low == pytest.approx(sum(sx[:_GRAM_SITES]), rel=1e-13, abs=1e-15)
 
 
 class TestStepKernels:
@@ -170,8 +225,8 @@ class TestStepKernels:
         thetas = Schedule(delta0=4.0, t_total=1000.0, steps=1000,
                           profile="exponential").delta_at(np.arange(1000) + 0.5)
         psi = random_state(rng, n)
-        np.testing.assert_allclose(_walsh_kernel(n, phase)(psi.copy(), thetas),
-                                   _blocked_kernel(n, phase)(psi.copy(), thetas),
+        np.testing.assert_allclose(run_kernel(_walsh_kernel, phase, thetas, psi),
+                                   run_kernel(_blocked_kernel, phase, thetas, psi),
                                    rtol=0, atol=1e-11)
 
     # Walsh, cycled with an even and an odd number of blocks, in place
@@ -214,6 +269,21 @@ class TestStepKernels:
             tracemalloc.stop()
         assert peak <= 4.75 * (16 << n)
 
+    def test_peak_memory_at_16_sites_recording_every_step(self, rng):
+        # as above: a record's scratch is the spare buffer
+        n = 16
+        model = chain_model(rng.normal(size=n), rng.normal(size=n - 1))
+        sched = Schedule(delta0=2.0, t_total=3.0, steps=30, profile="exponential")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            evolve(model, sched, record_every=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.75 * (16 << n)
+
     def test_result_carries_the_diagonal(self, rng):
         model = chain_model(rng.normal(size=9), rng.normal(size=8))
         res = evolve(model, Schedule(delta0=2.0, t_total=1.0, steps=3))
@@ -234,12 +304,29 @@ class TestStepKernels:
         expected = np.vdot(res.psi, apply_hamiltonian(model, res.deltas[-1], res.psi)).real
         assert abs(res.energies[-1] - expected) <= 1e-12 * max(1.0, abs(expected))
 
-    @pytest.mark.parametrize("n", (5, 9, 12))
+    # Walsh, cycled, in place; 100 cuts a 256-step chunk
+    @pytest.mark.parametrize("n", (3, 6, 7, 10, 11, 16))
+    def test_every_recorded_energy(self, rng, n):
+        model = chain_model(rng.normal(size=n), rng.normal(size=n - 1))
+        steps = 300 if n < 16 else 30
+        sched = Schedule(delta0=2.0, t_total=0.05 * steps, steps=steps, profile="exponential")
+        # from the transverse ground state <H> stays well below zero, so a
+        # relative bound means the same everywhere along the trace
+        states = strang_states(model, sched, initial_state(n))
+        for record_every in (1, 7, 100):
+            res = evolve(model, sched, record_every=record_every)
+            recorded = [*range(0, steps, record_every), steps]
+            assert len(res.energies) == len(recorded)
+            expected = [np.vdot(states[k], apply_hamiltonian(model, d, states[k])).real
+                        for k, d in zip(recorded, res.deltas)]
+            np.testing.assert_allclose(res.energies, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", (5, 9, 12, 16))
     def test_recording_does_not_change_state(self, rng, n):
         model = chain_model(rng.normal(size=n), rng.normal(size=n - 1))
         sched = Schedule(delta0=2.0, t_total=40.0, steps=800, profile="exponential")
         unrecorded = evolve(model, sched).psi
-        for record_every in (300, 100):     # 100 cuts a 256-step rotation table
+        for record_every in (300, 100, 1):  # 100 cuts a 256-step rotation table
             np.testing.assert_allclose(evolve(model, sched, record_every=record_every).psi,
                                        unrecorded, rtol=0, atol=1e-12)
 
@@ -276,13 +363,14 @@ class TestBlockPlan:
         phase = np.exp(-1j * rng.uniform(0.0, 0.1, 2**n))
         steps = _CHUNK_STEPS + 1 if n <= _CYCLED_MAX_SITES else 3
         thetas = np.linspace(0.3, 0.01, steps)
-        advance = _blocked_kernel(n, phase)
+        half_phase = np.ones(2**n, complex)
         psi = random_state(rng, n)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            advance(psi, thetas)
+            advance, _, _ = _blocked_kernel(n, phase, half_phase, thetas, psi)
+            advance(steps)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
