@@ -5,8 +5,9 @@ stdout, its stderr, its exit code and every CSV it writes.  The cases
 cover every sweep parameter, ``derive``, a ``decohere`` whose ``delta_K``
 column repeats (one delta is listed twice) and a uniform ``fg_grid``
 anneal whose histogram holds degenerate energies and repeated
-frequencies, so any change to how a value is computed or formatted shows
-as a changed digest.
+frequencies, and a 12-site chain anneal with nonzero fields, which steps
+the full state, so any change to how a value is computed or formatted
+shows as a changed digest.
 
 To print the digests of the current tree (after a change that is meant
 to move the outputs), run from the repository root:
@@ -54,6 +55,14 @@ CASES = {
         "problem": {"kind": "fg_grid", "rows": 2, "cols": 2, "geometry": GEOMETRY},
         "schedule": {"t_total": 200.0, "steps": 300, "profile": "exponential"},
         "shots": 1024}, ["--seed", "5"]),
+    "anneal-chain": ("anneal", {
+        "schema_version": 1,
+        "problem": {"kind": "chain",
+                    "h": [0.3, -0.2, 0.1, 0.25, -0.15, 0.05, -0.3, 0.2, -0.1, 0.15, -0.25, 0.35],
+                    "j": [0.5, -0.4, 0.6, 0.3, -0.5, 0.45, 0.35, -0.6, 0.4, 0.55, -0.3]},
+        "schedule": {"delta0_ev": 2.0, "t_total": 20.0, "steps": 400,
+                     "profile": "exponential"},
+        "shots": 2048}, ["--seed", "11"]),
 }
 
 # SHA-256 of each output, recorded before the CSV writer formatted each
@@ -107,6 +116,13 @@ DIGESTS = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out_histogram.csv": "6cbfab55011740a807793a9fd1937f73fe416e9d466849e7f37aa864eac6d5d8",
         "out_trace.csv": "e87d74236c3c441a66d6e3afc13f1fc653a83f44810ecefded8fc6c0c09af174",
+    },
+    "anneal-chain": {
+        "exit": 0,
+        "stdout": "921579839e441600015d5fc0d24044098bf15f34df0a6a5be5c3c997bc48b885",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out_histogram.csv": "fcec090556fc52314bc9868b6b3ca230cb1538f76e640fcfe8cf39d17e18a46a",
+        "out_trace.csv": "df82107b0c43971b9aae8937402cd6711e4365fb416fbd568ee05fdd143fb0e1",
     },
 }
 
