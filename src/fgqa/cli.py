@@ -519,7 +519,7 @@ def cmd_anneal(cfg: dict, out: str | None, seed: int) -> int:
         in_ground = sum(histogram.get(s, 0) for s in ground.states)
         print(f"exact ground energy: {ground.energy!r} eV over {len(ground.states)} "
               f"state(s); ground-state shot frequency: {in_ground / shots:.4f}")
-    if not np.any(model.h) and model.couplings:
+    if cfg["problem"]["kind"] == "maxcut":
         total = sum(w for (_, _, w) in model.couplings)
         cut = annealing.cut_value(model, best_state)
         print(f"cut value of most frequent state: {cut!r} (total edge weight {total!r})")

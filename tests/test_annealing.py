@@ -24,9 +24,11 @@ from fgqa.annealing import (
     state_string,
     success_probability,
 )
+from fgqa import annealing
 from fgqa.annealing import (_BLOCK_SITES, _CHUNK_STEPS, _CYCLED_MAX_SITES, _GRAM_SITES,
-                            _WALSH_MAX_SITES, MAX_SITES, _blocked_kernel, _gauge_sx_weights,
-                            _rotation_coefficients, _rotation_index, _sx_blocks, _walsh_kernel)
+                            _WALSH_MAX_SITES, MAX_SITES, _blocked_kernel, _gauge_flip_weights,
+                            _gauge_sx_weights, _rotation_coefficients, _rotation_index,
+                            _sx_blocks, _walsh_kernel)
 from fgqa.cells import BiasSet, CellGeometry, MaterialStack, cell_from_coupling_ratio
 from fgqa.charging import ising_parameters, reduce_network
 from fgqa.cells import build_network
@@ -375,6 +377,181 @@ class TestBlockPlan:
         finally:
             tracemalloc.stop()
         assert peak - (16 << n) <= 2.5 * 2**20
+
+
+def full_space_twin(model):
+    """The model with a field of 1e-300 on site 0: the same energies to
+    rounding, but a field, so that it steps the full state."""
+    h = np.zeros(model.n_sites)
+    h[0] = 1e-300
+    return IsingModel(model.n_sites, h, model.couplings, model.topology, model.delta0)
+
+
+def zero_field_model(rng, family, shape):
+    """A model with no fields: a chain, grid, MAX-CUT graph or device fg_grid."""
+    rows, cols = shape
+    n = rows * cols
+    if family == "chain":
+        return chain_model(np.zeros(n), rng.uniform(0.3, 1.0, n - 1) * rng.choice([-1, 1], n - 1))
+    if family == "grid":
+        return grid_model(rows, cols, 0.0, float(rng.uniform(0.3, 1.0)))
+    if family == "maxcut":
+        ring = [(i, (i + 1) % n, rng.uniform(0.5, 1.5)) for i in range(n - (n == 2))]
+        chords = [(i, j, rng.uniform(0.5, 1.5)) for i in range(n) for j in range(i + 2, n)
+                  if rng.random() < 0.2]
+        return maxcut_to_ising(ring + chords, n)
+    geom = cell_from_coupling_ratio(float(rng.uniform(8.0, 12.0)), 100.0, 3.5, 0.3)
+    return fg_grid_model(geom, MaterialStack(), BiasSet.uniform(3), rows, cols, v_cg=-1.7)
+
+
+def sector_schedule(model):
+    """A few rotation units from a strong transverse field: past the first
+    256-step table where the sector is cycled (up to 11 sites), 30 steps above."""
+    steps = 300 if model.n_sites <= _CYCLED_MAX_SITES + 1 else 30
+    scale = transverse_scale(model)
+    return Schedule(delta0=2.0 * scale, t_total=0.05 * steps / scale, steps=steps,
+                    profile="exponential")
+
+
+def forced_sector(model, sched, record_every=0):
+    """:func:`evolve`'s loop in the spin-flip sector at any size: the final
+    state and the recorded energies, stepped on n - 1 sites."""
+    n, steps = model.n_sites, sched.steps
+    dt = sched.t_total / steps
+    diag = diagonal_energies(model)[:2 ** (n - 1)]
+    half = np.exp(-0.5j * diag * dt)
+    thetas = sched.delta_at((np.arange(steps) + 0.5) * dt) * dt
+    kernel = _walsh_kernel if n - 1 <= _WALSH_MAX_SITES else _blocked_kernel
+    advance, energy, state = kernel(n - 1, half * half, half, thetas,
+                                    initial_state(n)[:2 ** (n - 1)], (-1) ** n)
+    energies = []
+    for stop in [0, *range(record_every, steps, record_every), steps] if record_every else []:
+        advance(stop)
+        energies.append(energy(diag, sched.delta_at(stop * dt)))
+    advance(steps)
+    return state(), np.array(energies)
+
+
+# (rows, cols) of every family's models: chains and MAX-CUT graphs at every
+# size from 2 to 16, grids and fg_grids from 1 x 2 to 4 x 4, each with 7, 8,
+# 11 and 12 sites, where n - 1 crosses _WALSH_MAX_SITES and _CYCLED_MAX_SITES
+SECTOR_SHAPES = {
+    "chain": [(1, n) for n in range(2, 17)],
+    "maxcut": [(1, n) for n in range(2, 17)],
+    "grid": [(1, 2), (2, 2), (2, 3), (1, 7), (2, 4), (3, 3), (1, 11), (3, 4), (3, 5), (4, 4)],
+    "fg_grid": [(1, 2), (2, 2), (2, 3), (1, 7), (2, 4), (3, 3), (1, 11), (3, 4), (3, 5),
+                (4, 4)],
+}
+
+
+class TestSpinFlipSector:
+    """Zero-field runs from the transverse ground state, carried as the half
+    of the state whose top site is clear."""
+
+    @pytest.mark.parametrize("family, shape", [
+        pytest.param(f, s, id=f"{f}-{s[0]}x{s[1]}") for f, shapes in SECTOR_SHAPES.items()
+        for s in shapes])
+    def test_matches_full_space(self, rng, family, shape):
+        model = zero_field_model(rng, family, shape)
+        twin = full_space_twin(model)
+        sched = sector_schedule(model)
+        unrecorded = evolve(model, sched).psi
+        for record_every in (1, 7, 100):
+            res = evolve(model, sched, record_every=record_every)
+            ref = evolve(twin, sched, record_every=record_every)
+            np.testing.assert_array_equal(res.psi, unrecorded)
+            np.testing.assert_array_equal(res.diagonal, diagonal_energies(model))
+            np.testing.assert_allclose(res.psi, ref.psi, rtol=0, atol=1e-13)
+            scale = np.abs(ref.energies).max()
+            np.testing.assert_allclose(res.energies, ref.energies, rtol=0, atol=1e-13 * scale)
+
+    # every kernel and layout that the sector can take, those that evolve
+    # leaves to the full state included
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_every_stepper_matches_full_space(self, rng, n):
+        model = zero_field_model(rng, "maxcut", (1, n))
+        twin = full_space_twin(model)
+        sched = sector_schedule(model)
+        unrecorded, _ = forced_sector(model, sched)
+        for record_every in (1, 7, 100):
+            psi, energies = forced_sector(model, sched, record_every)
+            ref = evolve(twin, sched, record_every=record_every)
+            np.testing.assert_array_equal(psi, unrecorded)
+            np.testing.assert_allclose(psi, ref.psi, rtol=0, atol=1e-13)
+            scale = np.abs(ref.energies).max()
+            np.testing.assert_allclose(energies, ref.energies, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("n, sector", [(2, True), (6, True), (7, False), (10, False),
+                                           (11, True), (13, True)])
+    def test_which_runs_take_the_sector(self, rng, monkeypatch, n, sector):
+        # the stepper's site count and flip sign for a zero-field run, the
+        # same model given its initial state, and one with a field
+        calls = []
+        for name in ("_walsh_kernel", "_blocked_kernel"):
+            kernel = getattr(annealing, name)
+            monkeypatch.setattr(annealing, name, lambda *args, kernel=kernel: (
+                calls.append((args[0], args[-1])) or kernel(*args)))
+        model = chain_model(np.zeros(n), rng.normal(size=n - 1))
+        sched = Schedule(delta0=2.0, t_total=1.0, steps=3)
+        evolve(model, sched)
+        evolve(model, sched, psi0=initial_state(n))
+        h = np.zeros(n)
+        h[-1] = 1e-300
+        evolve(chain_model(h, [w for _, _, w in model.couplings]), sched)
+        assert calls == [(n - 1, (-1) ** n) if sector else (n, 0), (n, 0), (n, 0)]
+
+    @pytest.mark.parametrize("m", range(4, 14))
+    def test_top_site_rotation_in_the_gauge(self, rng, m):
+        # psi'_new(s) = cos theta psi'(s) - i^(1-m) p sin theta (-1)^popcount(s) psi'(~s)
+        # on the half state of m sites, p = (-1)^(m+1)
+        p, theta = (-1) ** (m + 1), 0.37
+        psi = random_state(rng, m)
+        signs = (-1.0) ** np.array([bin(s).count("1") for s in range(2**m)])
+        rotated = math.cos(theta) * psi - 1j * p * math.sin(theta) * psi[::-1]
+        expected = (math.cos(theta) * gauged(psi) - np.array([1, 1j, -1, -1j])[(1 - m) % 4]
+                    * p * math.sin(theta) * signs * gauged(psi)[::-1])
+        np.testing.assert_allclose(gauged(rotated), expected, rtol=0, atol=1e-15)
+        # one blocked step without phases: every site turned, the top one too
+        advance, _, state = _blocked_kernel(m, np.ones(2**m), np.ones(2**m, complex),
+                                            np.array([theta]), psi.copy(), p)
+        advance(1)
+        full = state()
+        turned = flip_rotation(psi, theta)
+        np.testing.assert_allclose(full[:2**m], math.cos(theta) * turned
+                                   - 1j * p * math.sin(theta) * turned[::-1], rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(full[2**m:], p * full[:2**m][::-1])
+
+    @pytest.mark.parametrize("b", range(1, 6))
+    def test_gauge_flip_weights(self, rng, b):
+        # the pinned formula of a record's top-site term, from the frame
+        # i^popcount(s mod 2^b) psi_s that the blocked kernel's records read
+        psi = random_state(rng, 9)
+        tilted = np.array([1, 1j, -1, -1j])[[bin(s % 2**b).count("1") % 4
+                                              for s in range(2**9)]] * psi
+        mirrored = (tilted[::-1].copy().view(np.float64) if b % 2 == 0
+                    else tilted.view(np.float64)[::-1].copy())
+        rows = tilted.view(np.float64).reshape(-1, 2 << b)
+        products = np.sum(rows * mirrored.reshape(-1, 2 << b), axis=0)
+        assert np.sum(_gauge_flip_weights(b).ravel() * products) == pytest.approx(
+            np.vdot(psi, psi[::-1]).real, rel=1e-13, abs=1e-15)
+
+    def test_peak_memory_at_16_sites(self, rng):
+        # the full diagonal (0.5 state sizes), two half phases (1), three half
+        # buffers, the full state's two in one allocation (1.5), and the half
+        # initial state as it is copied in (0.5), plus numpy's fixed 128 KB
+        # buffer (0.125): a record's scratch is a spare half buffer
+        n = 16
+        model = chain_model(np.zeros(n), rng.normal(size=n - 1))
+        sched = Schedule(delta0=2.0, t_total=3.0, steps=30, profile="exponential")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            evolve(model, sched, record_every=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.75 * (16 << n)
 
 
 class TestChainModel:

@@ -361,6 +361,17 @@ class TestAnneal:
         assert "cut value of most frequent state: 4.0" in out
         assert "ground-state shot frequency" in out
 
+    def test_device_grid_reports_no_cut(self, tmp_path, capsys):
+        # fg_grid has no fields at n_g = 0, but it is not a MAX-CUT problem
+        cfg = dict(ANNEAL_CFG, problem={"kind": "fg_grid", "rows": 2, "cols": 2,
+                                        "geometry": SWEEP_GEOMETRY},
+                   schedule={"t_total": 50.0, "steps": 100})
+        assert main(["anneal", "--config", write_config(tmp_path, "c.json", cfg),
+                     "--seed", "7"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "exact ground energy" in out
+        assert "cut value" not in out
+
     def test_histogram_and_trace_written(self, tmp_path, capsys):
         prefix = tmp_path / "run"
         code = main(["anneal", "--config", write_config(tmp_path, "c.json", ANNEAL_CFG),
