@@ -27,6 +27,8 @@ Per step, one BLAS thread on a two-core Xeon: 1.3 us at N <= 3, 3.2 us at
 record took 84 / 115 / 437 / 1520 / 7470 us at N = 7 / 10 / 14 / 16 / 18
 when each one restarted the kernel and read the physical state, and takes
 31 / 50 / 286 / 1250 / 6270 us from the stepper (fastest of 12-20 runs).
+Time is in hbar/eV by default ("natural"); with ``time_unit="seconds"``
+the accumulated phases pick up the hbar/eV scale factor.
 
 A run whose fields are all exactly zero, from the transverse ground state
 (no initial state given), is carried in its spin-flip sector: the half of
@@ -39,8 +41,6 @@ in turn): N = 16 768 / 414 us and 1078 / 633 us, N = 18 4.30 / 2.65 ms and
 6.39 / 3.24 ms; at N = 10, which keeps the full state, 8.6 / 8.6 us and
 43 / 36 us.  Such a run at N = 24 steps a 128 MB half state: a 3-step
 ``fgqa anneal`` of a 24-site MAX-CUT graph peaked at 822 MB resident.
-Time is in hbar/eV by default ("natural"); with ``time_unit="seconds"``
-the accumulated phases pick up the hbar/eV scale factor.
 
 The positive-coupling convention favours anti-aligned neighbours, which
 is what makes MAX-CUT the native problem: cutting an edge of weight w
@@ -757,7 +757,6 @@ def evolve(model: IsingModel, schedule: Schedule, psi0: np.ndarray | None = None
     thetas = schedule.delta_at((np.arange(steps) + 0.5) * dt) * dt * scale
     kernel = _walsh_kernel if sites <= _WALSH_MAX_SITES else _blocked_kernel
     advance, energy, state = kernel(sites, full_phase, half_phase, thetas, psi, flip)
-    del psi     # the blocked sector stepper keeps a copy
     stops = [0, *range(record_every, steps, record_every), steps] if record_every > 0 else []
     times = [stop * dt for stop in stops]
     deltas = [schedule.delta_at(t) for t in times]

@@ -408,7 +408,7 @@ def sector_schedule(model):
     """A few rotation units from a strong transverse field: past the first
     256-step table where the sector is cycled (up to 11 sites), 30 steps above."""
     steps = 300 if model.n_sites <= _CYCLED_MAX_SITES + 1 else 30
-    scale = transverse_scale(model)
+    scale = transverse_scale(model) or 1.0      # a lone site has no coupling
     return Schedule(delta0=2.0 * scale, t_total=0.05 * steps / scale, steps=steps,
                     profile="exponential")
 
@@ -433,10 +433,11 @@ def forced_sector(model, sched, record_every=0):
 
 
 # (rows, cols) of every family's models: chains and MAX-CUT graphs at every
-# size from 2 to 16, grids and fg_grids from 1 x 2 to 4 x 4, each with 7, 8,
-# 11 and 12 sites, where n - 1 crosses _WALSH_MAX_SITES and _CYCLED_MAX_SITES
+# size from 2 to 16 (chains from 1), grids and fg_grids from 1 x 2 to 4 x 4,
+# each with 7, 8, 11 and 12 sites, where n - 1 crosses _WALSH_MAX_SITES and
+# _CYCLED_MAX_SITES
 SECTOR_SHAPES = {
-    "chain": [(1, n) for n in range(2, 17)],
+    "chain": [(1, n) for n in range(1, 17)],
     "maxcut": [(1, n) for n in range(2, 17)],
     "grid": [(1, 2), (2, 2), (2, 3), (1, 7), (2, 4), (3, 3), (1, 11), (3, 4), (3, 5), (4, 4)],
     "fg_grid": [(1, 2), (2, 2), (2, 3), (1, 7), (2, 4), (3, 3), (1, 11), (3, 4), (3, 5),
@@ -465,10 +466,10 @@ class TestSpinFlipSector:
             scale = np.abs(ref.energies).max()
             np.testing.assert_allclose(res.energies, ref.energies, rtol=0, atol=1e-13 * scale)
 
-    # every kernel and layout that the sector can take, those that evolve
-    # leaves to the full state included
-    @pytest.mark.parametrize("n", range(2, 15))
-    def test_every_stepper_matches_full_space(self, rng, n):
+    # the sizes that evolve steps in the full state: the Walsh stepper on
+    # 6 sites and the cycled layout below _CYCLED_MAX_SITES take the sector too
+    @pytest.mark.parametrize("n", range(_WALSH_MAX_SITES + 1, _CYCLED_MAX_SITES + 1))
+    def test_steppers_match_full_space_where_evolve_keeps_it(self, rng, n):
         model = zero_field_model(rng, "maxcut", (1, n))
         twin = full_space_twin(model)
         sched = sector_schedule(model)
