@@ -718,7 +718,9 @@ def evolve(model: IsingModel, schedule: Schedule, psi0: np.ndarray | None = None
     spin-flip sector: the global flip P = prod_i sx_i commutes with H(t), and
     the initial state is its eigenstate with eigenvalue p = (-1)^n, so
     psi(~s) = p psi(s) throughout and the half of the state whose top site is
-    clear holds all of it.  There the top site's rotation is cos theta psi -
+    clear holds all of it (the spin-inversion reduction of exact
+    diagonalization: Sandvik, AIP Conf. Proc. 1297, 135 (2010); Weinberg and
+    Bukov, SciPost Phys. 2, 003 (2017)).  There the top site's rotation is cos theta psi -
     i p sin theta psi[::-1], which commutes with the other sites'; the
     diagonal is the first half of the full one, as E(~s) = E(s).  The full
     state is rebuilt at the end as (psi, p psi[::-1]).  The sizes whose full
