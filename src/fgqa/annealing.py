@@ -20,8 +20,10 @@ one array call of the schedule.  One stepper, chosen by N, carries a run:
   rotation is real, a step is the phase and one real matmul per block of
   b <= 4 sites on the float view (2^(N+1) * 2^b multiply-adds), which up
   to N = 10 (``_CYCLED_MAX_SITES``) also cycles the block's bits to the
-  bottom of the index.  The gauge, buffers and tables last the whole run,
-  and a trace record reads <H> in the gauge.
+  bottom of the index.  The gauge, buffers and tables last the whole run.
+Each stepper reads a trace record's <H> in its own basis, and only its
+``state()`` leaves that basis, at the end of the run, so a recorded run
+ends bit for bit where the unrecorded one does.
 Per step, one BLAS thread on a two-core Xeon: 1.3 us at N <= 3, 3.2 us at
 6, 3.8 us at 7, 8.7 us at 10, 0.13 ms at 14 and 0.87 ms at 16.  A trace
 record took 84 / 115 / 437 / 1520 / 7470 us at N = 7 / 10 / 14 / 16 / 18
@@ -312,32 +314,6 @@ def apply_hamiltonian(model: IsingModel, delta: float, psi: np.ndarray) -> np.nd
     return out
 
 
-def _energy(diag: np.ndarray, delta: float, psi: np.ndarray, scratch: np.ndarray,
-            flip: int = 0) -> float:
-    """<psi|H|psi> given the Ising diagonal ``diag`` of H, with ``scratch`` (psi's
-    size) for the only full-size temporary: <psi|sx_i|psi> is twice the dot
-    product of the float pairs of psi's bit-i halves, and the Ising term is
-    summed pairwise, as it can nearly cancel.
-
-    With ``flip`` = +-1, ``psi`` is the half of a state with psi(~s) =
-    flip psi(s) whose top site is clear: the other half doubles every term,
-    and that site's sx term is flip Re <psi|psi reversed> (see :func:`evolve`).
-    """
-    pairs = psi.view(np.float64).reshape(-1, 2)
-    sx = 0.0
-    if delta != 0.0:
-        for i in range(diag.shape[0].bit_length() - 1):
-            halves = pairs.reshape(-1, 2, 2 << i)        # axis 1 is bit i
-            sx += 2.0 * np.einsum("ij,ij->", halves[:, 0], halves[:, 1])
-        if flip:
-            np.copyto(scratch, psi[::-1])
-            sx += flip * np.vdot(psi, scratch).real
-    terms = np.square(psi.view(np.float64), out=scratch.view(np.float64)).reshape(-1, 2)
-    terms *= diag[:, None]
-    energy = terms.sum() + delta * sx
-    return float(2.0 * energy if flip else energy)
-
-
 def _popcount(values: np.ndarray, bits: int) -> np.ndarray:
     return sum(((values >> i) & 1 for i in range(bits)), np.zeros_like(values))
 
@@ -362,8 +338,11 @@ def _walsh_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: np.
 
     Returns ``(advance, energy, state)`` for the angles ``thetas`` from ``psi``
     (overwritten): ``advance(stop)`` takes the state to step ``stop`` (half
-    phase, rotations with ``phase`` between, half phase), ``energy(diag,
-    delta)`` is <H> there and ``state()`` the state, out of the Walsh basis.
+    phase, rotations with ``phase`` between), ``energy(diag, delta)`` is <H>
+    there and ``state()`` ends the run: the closing half phase, out of the
+    Walsh basis.  A run enters the basis at its first step and stays there to
+    its last, so records change no bit of its state; a record reads the sx
+    terms as the Walsh spectrum of the state times the levels of D.
 
     With ``flip`` = +-1, ``psi`` is the spin-flip sector's half state (see
     :func:`evolve`), and each rotation also turns one more site whose sx acts
@@ -407,19 +386,24 @@ def _walsh_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: np.
                 phi, spare = spare, phi
             phi *= steps[-1]
         position = stop
-        # a sector run stays in the Walsh basis to its last step, so that its
-        # records change no bit of its state; other runs leave at every record
-        if not flip or stop == thetas.shape[0]:
-            psi = walsh @ phi
-            psi *= half_phase
-            phi = None
+
+    def physical() -> np.ndarray:
+        return psi if phi is None else walsh @ phi * half_phase
 
     def energy(diag: np.ndarray, delta: float) -> float:
-        chi = psi if phi is None else walsh @ phi * half_phase
-        return _energy(diag, delta, chi, np.empty_like(chi), flip)
+        # |chi|^2 diag and |H chi|^2 levels, each summed pairwise: the Ising
+        # term can nearly cancel
+        chi = physical()
+        terms = np.square(chi.view(np.float64)).reshape(-1, 2)
+        terms *= diag[:, None]
+        spectrum = np.square((walsh @ chi).view(np.float64)).reshape(-1, 2)
+        spectrum *= levels[counts][:, None]
+        energy = terms.sum() + delta * spectrum.sum()
+        return float(2.0 * energy if flip else energy)
 
     def state() -> np.ndarray:
-        return np.concatenate((psi, flip * psi[::-1])) if flip else psi
+        chi = physical()
+        return np.concatenate((chi, flip * chi[::-1])) if flip else chi
 
     return advance, energy, state
 
@@ -526,12 +510,15 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
     sin theta M diag((-1)^popcount(block bits))].  ``state()`` is then the
     full state (psi, flip psi[::-1]).
 
-    The gauge goes on at step 0 and off at the last step, exactly.  In
-    between, a record reads <H> in the gauge with the spare buffer as
-    scratch: from the first record to the last step ``half_phase`` carries
-    (-i)^popcount of the bits above the lowest ``_GRAM_SITES``, so one pass
-    writes the state with its closing half phase and those bits' sx terms as
-    dot products of float pairs; the others come from a Gram matrix
+    The gauge is on from when the stepper is built, and ``state()``, called
+    once, ends the run: the gauge off, then the closing half phase, exactly.
+    Every record, the first and the last too, reads <H> in the gauge with the
+    spare buffer as scratch: one pass writes the state in the frame
+    i^popcount(s mod 2^b), b = ``_GRAM_SITES``, by turning it with
+    (-i)^popcount of the bits above b at step 0, and after it by the closing
+    half phase, which ``half_phase`` carries times that power from the first
+    such record on.  The bits above b give their sx terms as dot products of
+    float pairs; the others come from a Gram matrix
     (:func:`_gauge_sx_weights`), and a sector's top site from the product of
     that pass with its reversal (:func:`_gauge_flip_weights`).
     """
@@ -552,36 +539,33 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
     # site 0's, O^T for the others cycled (from the right), O in place
     indices = {(b, lowest): _rotation_index(b, lowest) if lowest or not cycled
                else _rotation_index(b).T for b, lowest, _ in blocks}
-    total = thetas.shape[0]
     # steps per table: a chunk cycled, four in place (19.2 -> 16.8 us per step
     # at n = 11 against one), where they take 40 KB at most, next to the state
-    steps = min(_CHUNK_STEPS if cycled else 4, total)
+    steps = min(_CHUNK_STEPS if cycled else 4, thetas.shape[0])
     tables = {key: np.empty((steps, *index.shape)) for key, index in indices.items()}
+    # a step starts and ends in buffer 0, and its phase writes buffer ``start``
     if not flip:
-        # each matmul writes into the other of two state-size buffers, on a
-        # route for a step that starts in buffer 0 and one for buffer 1
+        # each matmul writes into the other of two state-size buffers
         buffers = (psi, np.empty_like(psi))
-        routes = [[(start ^ (i & 1), 1 - (start ^ (i & 1))) for i in range(len(blocks))]
-                  for start in (0, 1)]
+        start = len(blocks) & 1
+        route = [(start ^ (i & 1), 1 - (start ^ (i & 1))) for i in range(len(blocks))]
     else:
         # three buffers in one allocation: a step starts in 0 with y in 1, the
         # top block writes 2, and the others take the state back to 0
         stack = np.empty((3, psi.shape[0]), dtype=np.complex128)
         stack[0] = psi
         buffers = tuple(stack)
-        others = len(blocks) - 1
+        start, others = 0, len(blocks) - 1
         targets = [2 * ((others - i) % 2) for i in range(1, others + 1)]
         if targets[0] == 2:     # a block cannot write what it reads
             targets[0] = 1
-        routes = [list(zip([0, 2, *targets], [2, *targets]))]
+        route = list(zip([0, 2, *targets], [2, *targets]))
     flat = [buffer.view(np.float64) for buffer in buffers]
-    # (in view, out view, table, left) of each block on each route; a cycled
-    # block reads (block bits, other bits) as its transpose
-    plans = [[(flat[source].reshape(shape[::-1]).T if cycled else flat[source].reshape(shape),
-               flat[target].reshape(shape), tables[b, lowest], len(shape) == 3)
-              for (b, lowest, shape), (source, target) in zip(blocks, route)]
-             for route in routes]
-    moves = 0 if flip else len(blocks) & 1      # buffer changes per step
+    # (in view, out view, table, left) of each block; a cycled block reads
+    # (block bits, other bits) as its transpose
+    plan = [(flat[source].reshape(shape[::-1]).T if cycled else flat[source].reshape(shape),
+             flat[target].reshape(shape), tables[b, lowest], len(shape) == 3)
+            for (b, lowest, shape), (source, target) in zip(blocks, route)]
     powers = np.array([1.0, 1.0j, -1.0, -1.0j])
     counts = _popcount(np.arange(1 << (n - n // 2)), n)
     if flip:
@@ -592,8 +576,8 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
         axis = 1 if cycled else 2
         stacked = np.empty((*base.shape[:axis], 2 << top, *base.shape[axis + 1:]))
         pair = stack[:2].view(np.float64).reshape(2 << top, -1)
-        plans[0][0] = ((pair.T, plans[0][0][1], stacked, False) if cycled
-                       else (pair, flat[2].reshape(1 << top, -1), stacked, True))
+        plan[0] = ((pair.T, plan[0][1], stacked, False) if cycled
+                   else (pair, flat[2].reshape(1 << top, -1), stacked, True))
         cos_half, sin_half = np.split(stacked, 2, axis=axis)
         block_signs = ((-1.0) ** _popcount(np.arange(1 << top), top)).reshape(
             (1, -1, 1) if cycled else (1, 1, -1))
@@ -621,17 +605,12 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
         # the record's pass reversed, as complex entries or as floats
         reversal = ((buffers[2], buffers[1][::-1]) if low % 2 == 0
                     else (flat[2], flat[1][::-1]))
-    position, current, coefficients, tilted = 0, 0, {}, False
+    turn(buffers[0], 1, 0, buffers[0])      # the gauge on
+    position, coefficients, tilted = 0, {}, False
     cosines = sines = None
 
     def advance(stop: int) -> None:
-        nonlocal position, current, coefficients, cosines, sines
-        if stop == position:
-            return
-        if not position:    # the opening half phase, then the gauge
-            np.multiply(buffers[0], half_phase, out=buffers[0])
-            turn(buffers[0], 1, 0, buffers[0])
-        cur = current
+        nonlocal position, coefficients, cosines, sines
         for lo in range(position - position % _CHUNK_STEPS, stop, _CHUNK_STEPS):
             if lo >= position:      # a chunk that no earlier advance began
                 chunk = thetas[lo:lo + _CHUNK_STEPS]
@@ -651,32 +630,27 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
                         np.multiply(base[filled], cosines[k:k + steps], out=cos_half[filled])
                         np.multiply(base[filled], sines[k:k + steps] * block_signs,
                                     out=sin_half[filled])
-                if lo or k:
-                    np.multiply(buffers[cur], phase, out=buffers[cur])
+                # the opening half phase, or the two merged
+                np.multiply(buffers[0], phase if lo + k else half_phase, out=buffers[start])
                 if flip:
                     np.multiply(mirror, low_signs, out=y)
-                for state, out, table, left in plans[cur]:
+                for state, out, table, left in plan:
                     if left:
                         np.matmul(table[row], state, out=out)
                     else:
                         np.dot(state, table[row], out=out)
-                cur ^= moves
-        position, current = stop, cur
-        if stop == total:   # the gauge off, then the closing half phase
-            turn(buffers[cur], -1, 0, buffers[cur])
-            if tilted:
-                turn(half_phase, 1, low, half_phase)
-            np.multiply(buffers[cur], half_phase, out=buffers[cur])
+        position = stop
 
     def energy(diag: np.ndarray, delta: float) -> float:
         nonlocal tilted
-        chi, spare = buffers[current], buffers[1 - current]
-        if position in (0, total):
-            return _energy(diag, delta, chi, spare, flip)
-        if not tilted:
-            turn(half_phase, -1, low, half_phase)
-            tilted = True
-        np.multiply(chi, half_phase, out=spare)
+        chi, spare = buffers[0], buffers[1]
+        if not position:
+            turn(chi, -1, low, spare)
+        else:
+            if not tilted:
+                turn(half_phase, -1, low, half_phase)
+                tilted = True
+            np.multiply(chi, half_phase, out=spare)
         sx = 0.0
         if delta != 0.0:
             rows = spare.view(np.float64).reshape(-1, 2 << low)
@@ -696,8 +670,13 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
         return float(2.0 * energy if flip else energy)
 
     def state() -> np.ndarray:
+        # the gauge off, then the closing half phase
+        turn(buffers[0], -1, 0, buffers[0])
+        if tilted:
+            turn(half_phase, 1, low, half_phase)
+        np.multiply(buffers[0], half_phase, out=buffers[0])
         if not flip:
-            return buffers[current]
+            return buffers[0]
         np.multiply(buffers[0][::-1], flip, out=buffers[1])
         return stack[:2].reshape(-1)
 

@@ -264,14 +264,8 @@ def _bath(figure: tuple, formula, *args) -> float:
 
 # ---------------------------------------------------------------- output
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def _fields(column) -> list[str]:
-    """The CSV fields of one column (an array or any sequence).
+    """The CSV fields of one column (an array, or a list of strings).
 
     A float column is formatted once per distinct value, which is found by
     its bit pattern: equal floats such as 0.0 and -0.0 have different reprs.
@@ -283,7 +277,7 @@ def _fields(column) -> list[str]:
         return text[where].tolist()                 # str of a Python float is its repr
     if isinstance(column, np.ndarray) and column.dtype.kind in "biu":
         return list(map(str, column.tolist()))
-    return list(map(_fmt, column))
+    return list(map(str, column))
 
 
 def _write_csv(path: str | None, command: str, cfg: dict, columns: list[str],

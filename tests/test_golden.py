@@ -69,7 +69,9 @@ CASES = {
 # distinct value once.  Since then only the anneal traces moved, when the
 # Ising term of <H> came to be summed pairwise and the fg_grid case to be
 # annealed in its spin-flip sector, and the fg_grid stdout, when the cut
-# line came to be printed for MAX-CUT problems only.
+# line came to be printed for MAX-CUT problems only.  The fg_grid trace moved
+# again, by 3.7e-16 of max |<H>| at most, when the Walsh stepper came to read
+# the sx terms of <H> from the state's Walsh spectrum.
 DIGESTS = {
     "sweep-L": {
         "exit": 0,
@@ -118,7 +120,7 @@ DIGESTS = {
         "stdout": "133ad1fac1e2868801b260c366a8b3d4049432d0729a94d6c2d766ba9e000f57",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out_histogram.csv": "6cbfab55011740a807793a9fd1937f73fe416e9d466849e7f37aa864eac6d5d8",
-        "out_trace.csv": "d5b5a7064229ac3e5b893638987b7b6d28463a08bead93e70fc174e0cfedb3cf",
+        "out_trace.csv": "ccd216b27090741baab758cd1cf02e9536226be2590315b7e2cac546ac8c27c9",
     },
     "anneal-chain": {
         "exit": 0,
