@@ -51,13 +51,16 @@ lowers the Ising energy by 2w, so cut(S) = (sum w - E) / 2.
 Annealing starts from the exact ground state of the transverse term,
 the uniform superposition with alternating signs, and is measured
 against :func:`brute_force_ground_state`, an exhaustive and
-annealer-independent enumeration.
+annealer-independent enumeration.  Both read the model's own read-only
+table of the 2^N Ising energies, :attr:`IsingModel.diagonal`, which
+:func:`diagonal_energies` builds once, on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,7 +99,8 @@ class IsingModel:
 
     ``couplings`` holds one entry per undirected edge as (i, j, J_ij)
     with i < j; ``delta0`` optionally records a device-derived
-    transverse-field scale (eV).
+    transverse-field scale (eV).  ``h`` is held as a read-only copy, so
+    the model and its energy table :attr:`diagonal` cannot drift apart.
     """
 
     n_sites: int
@@ -108,9 +112,10 @@ class IsingModel:
     def __post_init__(self):
         if not 1 <= self.n_sites <= MAX_SITES:
             raise ValueError(f"site count must be in [1, {MAX_SITES}], got {self.n_sites}")
-        h = np.asarray(self.h, dtype=float)
+        h = np.array(self.h, dtype=float)
         if h.shape != (self.n_sites,):
             raise ValueError(f"h must have shape ({self.n_sites},), got {h.shape}")
+        h.flags.writeable = False
         object.__setattr__(self, "h", h)
         seen = set()
         for (i, j, w) in self.couplings:
@@ -121,6 +126,14 @@ class IsingModel:
             seen.add((i, j))
             if not math.isfinite(w):
                 raise ValueError("couplings must be finite")
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """Ising energy of every basis state, shape (2^n,), eV: built once by
+        :func:`diagonal_energies` and read-only."""
+        energies = diagonal_energies(self)
+        energies.flags.writeable = False
+        return energies
 
 
 @dataclass(frozen=True)
@@ -170,14 +183,12 @@ class Schedule:
 
 @dataclass
 class EvolutionResult:
-    """Final state, the recorded (t, Delta, <H>) trace, and the Ising
-    energy of every basis state that the run built (``diagonal``)."""
+    """Final state and the recorded (t, Delta, <H>) trace."""
 
     psi: np.ndarray
     times: np.ndarray
     deltas: np.ndarray
     energies: np.ndarray
-    diagonal: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -260,9 +271,11 @@ def _bits_from_state(n: int, state: str) -> np.ndarray:
     return np.array([1 if ch == "1" else 0 for ch in state], dtype=np.int8)
 
 
-def state_string(n: int, index: int) -> str:
-    """Basis bitstring for an amplitude index (site i at character i)."""
-    return "".join("1" if (index >> i) & 1 else "0" for i in range(n))
+def _state_strings(n: int, indices: np.ndarray) -> list[str]:
+    """Basis bitstring of each amplitude index (site i at character i)."""
+    # read as fixed-width bytes
+    chars = ((indices[:, None] >> np.arange(n)) & 1).astype(np.uint8) + ord("0")
+    return chars.view(f"S{n}").ravel().astype(str).tolist()
 
 
 def diagonal_energies(model: IsingModel) -> np.ndarray:
@@ -305,7 +318,7 @@ def apply_hamiltonian(model: IsingModel, delta: float, psi: np.ndarray) -> np.nd
     psi = np.asarray(psi)
     if psi.shape != (1 << n,):
         raise ValueError(f"state must have shape ({1 << n},), got {psi.shape}")
-    out = diagonal_energies(model) * psi
+    out = model.diagonal * psi
     if delta != 0.0:
         arr = psi.reshape((2,) * n)
         acc = out.reshape((2,) * n)
@@ -730,8 +743,7 @@ def evolve(model: IsingModel, schedule: Schedule, psi0: np.ndarray | None = None
     steps = schedule.steps
     scale = schedule.phase_scale
     dt = schedule.t_total / steps
-    diag = diagonal_energies(model)
-    stepped = diag[:1 << sites]
+    stepped = model.diagonal[:1 << sites]
     half_phase = np.exp(-0.5j * stepped * dt * scale)
     # the adjacent half-phases of consecutive steps merge into one
     full_phase = half_phase * half_phase
@@ -747,7 +759,7 @@ def evolve(model: IsingModel, schedule: Schedule, psi0: np.ndarray | None = None
         energies.append(energy(stepped, d))
     advance(steps)
     return EvolutionResult(psi=state(), times=np.array(times), deltas=np.array(deltas),
-                           energies=np.array(energies), diagonal=diag)
+                           energies=np.array(energies))
 
 
 def measure(psi: np.ndarray, shots: int, seed: int) -> dict[str, int]:
@@ -765,10 +777,7 @@ def measure(psi: np.ndarray, shots: int, seed: int) -> dict[str, int]:
     p /= p.sum()
     counts = np.random.default_rng(seed).multinomial(shots, p)
     outcomes = np.flatnonzero(counts)
-    # site i is character i of the bitstring, read as fixed-width bytes
-    chars = ((outcomes[:, None] >> np.arange(n)) & 1).astype(np.uint8) + ord("0")
-    states = chars.view(f"S{n}").ravel().astype(str)
-    return dict(zip(states.tolist(), counts[outcomes].tolist()))
+    return dict(zip(_state_strings(n, outcomes), counts[outcomes].tolist()))
 
 
 def brute_force_ground_state(model: IsingModel) -> GroundState:
@@ -778,7 +787,8 @@ def brute_force_ground_state(model: IsingModel) -> GroundState:
     assignments, limited to n <= 20.
     """
     _check_brute_force(model)
-    return _ground_state(model.n_sites, diagonal_energies(model))
+    e_min, minimisers = _minimisers(model.diagonal)
+    return GroundState(energy=e_min, states=tuple(_state_strings(model.n_sites, minimisers)))
 
 
 def _check_brute_force(model: IsingModel) -> None:
@@ -795,29 +805,11 @@ def _minimisers(energies: np.ndarray) -> tuple[float, np.ndarray]:
     return e_min, np.flatnonzero(energies <= e_min + tol)
 
 
-def _ground_state(n: int, energies: np.ndarray) -> GroundState:
-    """Minimum of the Ising ``energies`` of all 2^n basis states, with
-    every minimiser."""
-    e_min, minimisers = _minimisers(energies)
-    return GroundState(energy=e_min,
-                       states=tuple(state_string(n, int(i)) for i in minimisers))
-
-
-def success_probability(model: IsingModel, psi: np.ndarray, *,
-                        diagonal: np.ndarray | None = None) -> float:
-    """Total |amplitude|^2 carried by the exact ground-state set.
-
-    ``diagonal``, the Ising energy of every basis state (as
-    ``EvolutionResult.diagonal`` holds it), saves building it again; without
-    it the model is enumerated as by :func:`brute_force_ground_state`.
-    """
-    if diagonal is None:
-        _check_brute_force(model)
-        diagonal = diagonal_energies(model)
-    elif np.shape(diagonal) != (1 << model.n_sites,):
-        raise ValueError(f"diagonal must have shape ({1 << model.n_sites},), "
-                         f"got {np.shape(diagonal)}")
-    p = np.abs(np.asarray(psi)[_minimisers(diagonal)[1]]) ** 2
+def success_probability(model: IsingModel, psi: np.ndarray) -> float:
+    """Total |amplitude|^2 carried by the exact ground-state set, found
+    in ``model.diagonal`` as by :func:`brute_force_ground_state`."""
+    _check_brute_force(model)
+    p = np.abs(np.asarray(psi)[_minimisers(model.diagonal)[1]]) ** 2
     return float(sum(p))
 
 

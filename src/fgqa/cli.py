@@ -490,7 +490,7 @@ def cmd_anneal(cfg: dict, out: str | None, seed: int) -> int:
     result = annealing.evolve(model, schedule, record_every=record_every)
     histogram = annealing.measure(result.psi, shots, seed)
 
-    diag = result.diagonal
+    diag = model.diagonal
     if out is not None:
         ranked = sorted(histogram.items(), key=lambda kv: (-kv[1], kv[0]))
         states = [state for state, _ in ranked]
@@ -509,7 +509,7 @@ def cmd_anneal(cfg: dict, out: str | None, seed: int) -> int:
     print(f"most frequent state: {best_state}  ({best_count}/{shots} shots, "
           f"energy {best_energy!r} eV)")
     if model.n_sites <= annealing.MAX_BRUTE_FORCE_SITES:
-        ground = annealing._ground_state(model.n_sites, diag)
+        ground = annealing.brute_force_ground_state(model)
         in_ground = sum(histogram.get(s, 0) for s in ground.states)
         print(f"exact ground energy: {ground.energy!r} eV over {len(ground.states)} "
               f"state(s); ground-state shot frequency: {in_ground / shots:.4f}")

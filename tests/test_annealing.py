@@ -21,14 +21,14 @@ from fgqa.annealing import (
     initial_state,
     maxcut_to_ising,
     measure,
-    state_string,
     success_probability,
 )
 from fgqa import annealing
 from fgqa.annealing import (_BLOCK_SITES, _CHUNK_STEPS, _CYCLED_MAX_SITES, _GRAM_SITES,
                             _WALSH_MAX_SITES, MAX_SITES, _blocked_kernel, _gauge_flip_weights,
                             _gauge_sx_weights, _rotation_coefficients, _rotation_index,
-                            _sx_blocks, _walsh_kernel)
+                            _state_strings, _sx_blocks, _walsh_kernel)
+from fgqa.constants import CONST
 from fgqa.cells import BiasSet, CellGeometry, MaterialStack, cell_from_coupling_ratio
 from fgqa.charging import ising_parameters, reduce_network
 from fgqa.cells import build_network
@@ -286,10 +286,10 @@ class TestStepKernels:
             tracemalloc.stop()
         assert peak <= 4.75 * (16 << n)
 
-    def test_result_carries_the_diagonal(self, rng):
+    def test_run_leaves_the_model_diagonal(self, rng):
         model = chain_model(rng.normal(size=9), rng.normal(size=8))
-        res = evolve(model, Schedule(delta0=2.0, t_total=1.0, steps=3))
-        np.testing.assert_array_equal(res.diagonal, diagonal_energies(model))
+        evolve(model, Schedule(delta0=2.0, t_total=1.0, steps=3))
+        np.testing.assert_array_equal(model.diagonal, diagonal_energies(model))
 
     @pytest.mark.parametrize("n", (4, 11, 16))
     def test_recorded_trace(self, rng, n):
@@ -465,7 +465,8 @@ class TestSpinFlipSector:
             res = evolve(model, sched, record_every=record_every)
             ref = evolve(twin, sched, record_every=record_every)
             np.testing.assert_array_equal(res.psi, unrecorded)
-            np.testing.assert_array_equal(res.diagonal, diagonal_energies(model))
+            # the sector steps half of the table and leaves the full one whole
+            np.testing.assert_array_equal(model.diagonal, diagonal_energies(model))
             np.testing.assert_allclose(res.psi, ref.psi, rtol=0, atol=1e-13)
             scale = np.abs(ref.energies).max()
             np.testing.assert_allclose(res.energies, ref.energies, rtol=0, atol=1e-13 * scale)
@@ -567,6 +568,37 @@ class TestChainModel:
         assert chain_model(np.zeros(n), 0.5).couplings == model.couplings
 
 
+class TestIsingModel:
+    """The model owns its energy table, and neither can change under the other."""
+
+    def test_caller_edits_reach_neither_h_nor_diagonal(self, rng):
+        h = rng.normal(size=5)
+        model = chain_model(h, 1.0)
+        fields, table = h.copy(), model.diagonal.copy()
+        h[0] = 5.0
+        np.testing.assert_array_equal(model.h, fields)
+        np.testing.assert_array_equal(model.diagonal, table)
+        np.testing.assert_array_equal(model.diagonal, diagonal_energies(model))
+
+    @pytest.mark.parametrize("name", ("h", "diagonal"))
+    def test_arrays_are_read_only(self, rng, name):
+        model = chain_model(rng.normal(size=4), rng.normal(size=3))
+        with pytest.raises(ValueError):
+            getattr(model, name)[0] = 1.0
+
+    def test_one_table_per_model(self, rng, monkeypatch):
+        built = []
+        build = annealing.diagonal_energies
+        monkeypatch.setattr(annealing, "diagonal_energies",
+                            lambda model: built.append(model) or build(model))
+        model = chain_model(rng.normal(size=8), rng.normal(size=7))
+        psi = evolve(model, Schedule(delta0=2.0, t_total=1.0, steps=3)).psi
+        success_probability(model, psi)
+        brute_force_ground_state(model)
+        apply_hamiltonian(model, 0.5, psi)
+        assert built == [model]
+
+
 class TestDiagonalEnergies:
     def test_matches_per_state_sum(self, rng):
         for n in range(1, 11):
@@ -640,6 +672,22 @@ class TestSchedule:
         assert isinstance(sched.delta_at(3.0), float)
         np.testing.assert_allclose(d, [sched.delta_at(float(v)) for v in t],
                                    rtol=1e-15, atol=0)
+
+    def test_exponential_floor_ratio_sets_the_endpoint(self):
+        sched = Schedule(delta0=2.0, t_total=10.0, steps=100, profile="exponential",
+                         floor_ratio=1e-8)
+        assert sched.delta_at(10.0) == pytest.approx(2.0 * 1e-8, rel=1e-12)
+
+    @pytest.mark.parametrize("profile", ("linear", "exponential"))
+    def test_seconds_match_natural_units(self, rng, profile):
+        model = chain_model(rng.normal(size=5), rng.normal(size=4))
+        natural = Schedule(delta0=2.0, t_total=3.0, steps=60, profile=profile)
+        seconds = Schedule(delta0=2.0, t_total=3.0 * CONST.hbar_ev_s, steps=60,
+                           profile=profile, time_unit="seconds")
+        a = evolve(model, natural, record_every=7)
+        b = evolve(model, seconds, record_every=7)
+        np.testing.assert_allclose(b.psi, a.psi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.energies, a.energies, rtol=0, atol=1e-12)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -727,13 +775,6 @@ class TestSuccessProbability:
             psi = random_state(rng, n)
             expected = self.by_bitstrings(model, psi)
             assert success_probability(model, psi) == expected
-            diagonal = diagonal_energies(model)
-            assert success_probability(model, psi, diagonal=diagonal) == expected
-
-    def test_rejects_a_diagonal_of_the_wrong_size(self, rng):
-        model = chain_model(rng.normal(size=4), rng.normal(size=3))
-        with pytest.raises(ValueError, match="diagonal must have shape"):
-            success_probability(model, random_state(rng, 4), diagonal=np.zeros(8))
 
 
 class TestMeasure:
@@ -762,7 +803,9 @@ class TestMeasure:
         psi = random_state(rng, n)
         p = np.abs(psi) ** 2
         counts = np.random.default_rng(seed).multinomial(shots, p / p.sum())
-        expected = {state_string(n, idx): int(c) for idx, c in enumerate(counts) if c > 0}
+        # each bitstring built on its own, site i at character i
+        expected = {"".join("1" if (idx >> i) & 1 else "0" for i in range(n)): int(c)
+                    for idx, c in enumerate(counts) if c > 0}
         hist = measure(psi, shots, seed)
         assert hist == expected
         assert list(hist) == list(expected)
@@ -938,9 +981,9 @@ class TestAdiabaticTrend:
         assert probs[2] >= 0.99
 
 
-def test_state_string_round_trip():
+def test_state_strings_round_trip():
     n = 6
-    for idx in (0, 1, 5, 37, 63):
-        s = state_string(n, idx)
-        assert len(s) == n
-        assert int(s[::-1], 2) == idx
+    indices = np.array([0, 1, 5, 37, 63])
+    strings = _state_strings(n, indices)
+    assert [len(s) for s in strings] == [n] * len(indices)
+    assert [int(s[::-1], 2) for s in strings] == indices.tolist()

@@ -21,7 +21,7 @@ from fgqa.cells import MaterialStack, build_network, cell_from_coupling_ratio
 from fgqa.charging import parabola_family
 from fgqa.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, _write_csv, emit_config, main,
                       parse_config)
-from fgqa.constants import convert
+from fgqa.constants import CONST, convert
 from fgqa.decoherence import PhononEnvironment, p_coherent, p_incoherent
 
 
@@ -360,6 +360,15 @@ class TestAnneal:
         out = capsys.readouterr().out
         assert "cut value of most frequent state: 4.0" in out
         assert "ground-state shot frequency" in out
+
+    def test_seconds_and_floor_ratio_run(self, tmp_path, capsys):
+        # the default run's 60 hbar/eV given in seconds, to a lower floor
+        schedule = dict(ANNEAL_CFG["schedule"], t_total=60.0 * CONST.hbar_ev_s,
+                        time_unit="seconds", floor_ratio=1e-8)
+        cfg = dict(ANNEAL_CFG, schedule=schedule)
+        assert main(["anneal", "--config", write_config(tmp_path, "c.json", cfg),
+                     "--seed", "7"]) == EXIT_OK
+        assert "cut value of most frequent state: 4.0" in capsys.readouterr().out
 
     def test_device_grid_reports_no_cut(self, tmp_path, capsys):
         # fg_grid has no fields at n_g = 0, but it is not a MAX-CUT problem
