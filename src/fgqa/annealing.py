@@ -25,10 +25,11 @@ Each stepper reads a trace record's <H> in its own basis, and only its
 ``state()`` leaves that basis, at the end of the run, so a recorded run
 ends bit for bit where the unrecorded one does.
 Per step, one BLAS thread on a two-core Xeon: 1.3 us at N <= 3, 3.2 us at
-6, 3.8 us at 7, 8.7 us at 10, 0.13 ms at 14 and 0.87 ms at 16.  A trace
-record took 84 / 115 / 437 / 1520 / 7470 us at N = 7 / 10 / 14 / 16 / 18
-when each one restarted the kernel and read the physical state, and takes
-31 / 50 / 286 / 1250 / 6270 us from the stepper (fastest of 12-20 runs).
+6, 3.8 us at 7, 8.7 us at 10, 0.13 ms at 14 and 0.87 ms at 16.  A blocked
+trace record, with the pairwise-broadcast reader it replaced and now
+(fastest of 100, alternating call by call): N = 10 41 / 26 us, 12 91 / 73
+us, 16 1144 / 783 us, and in the sector of N = 16 and 18 (15 and 17 sites)
+701 / 483 us and 3.39 / 2.31 ms.
 Time is in hbar/eV by default ("natural"); with ``time_unit="seconds"``
 the accumulated phases pick up the hbar/eV scale factor.
 
@@ -38,11 +39,10 @@ the state whose top site is clear, stepped on N - 1 sites, the top site's
 rotation shifting the Walsh levels or riding on the top block's matmul (see
 :func:`evolve`).  That covers MAX-CUT problems and device grids at n_g = 0,
 at N <= 6 and N >= 11; between, the cycled layout steps the full state as
-fast.  Per step and per record, full state against sector (fastest of 9-25
-in turn): N = 16 768 / 414 us and 1078 / 633 us, N = 18 4.30 / 2.65 ms and
-6.39 / 3.24 ms; at N = 10, which keeps the full state, 8.6 / 8.6 us and
-43 / 36 us.  Such a run at N = 24 steps a 128 MB half state: a 3-step
-``fgqa anneal`` of a 24-site MAX-CUT graph peaked at 822 MB resident.
+fast.  Per step, full state against sector (fastest of 9-25 in turn):
+N = 16 768 / 414 us, N = 18 4.30 / 2.65 ms; at N = 10, which keeps the full
+state, 8.6 / 8.6 us.  Such a run at N = 24 steps a 128 MB half state: a
+3-step ``fgqa anneal`` of a 24-site MAX-CUT graph peaked at 822 MB resident.
 
 The positive-coupling convention favours anti-aligned neighbours, which
 is what makes MAX-CUT the native problem: cutting an edge of weight w
@@ -302,14 +302,17 @@ def initial_state(n: int) -> np.ndarray:
     return _initial_amplitudes(n, n)
 
 
-def _initial_amplitudes(n: int, sites: int) -> np.ndarray:
-    """The first 2^sites amplitudes of :func:`initial_state` (n)."""
+def _initial_amplitudes(n: int, sites: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The first 2^sites amplitudes of :func:`initial_state` (n), written
+    into ``out`` if it is given."""
+    psi = np.empty(1 << sites, dtype=np.complex128) if out is None else out
+    psi.imag = 0.0
     # adding site k in bit k appends the sign-flipped first half
-    psi = np.empty(1 << sites)
-    psi[0] = 1.0 / math.sqrt(1 << n)
+    real = psi.real
+    real[0] = 1.0 / math.sqrt(1 << n)
     for k in range(sites):
-        np.negative(psi[:1 << k], out=psi[1 << k:2 << k])
-    return psi.astype(np.complex128)
+        np.negative(real[:1 << k], out=real[1 << k:2 << k])
+    return psi
 
 
 def apply_hamiltonian(model: IsingModel, delta: float, psi: np.ndarray) -> np.ndarray:
@@ -341,7 +344,7 @@ _CHUNK_STEPS = 256
 
 
 def _walsh_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: np.ndarray,
-                  psi: np.ndarray, flip: int = 0):
+                  psi: np.ndarray | None, flip: int = 0):
     """Stepper carrying the state in the Walsh-Hadamard basis.
 
     With H[r, c] = (-1)^popcount(r & c) / sqrt(2^n), exp(-i theta sum_i sx_i)
@@ -350,12 +353,14 @@ def _walsh_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: np.
     mixer H diag(phase) H: the Walsh transform of ``phase`` at r ^ s / sqrt(2^n).
 
     Returns ``(advance, energy, state)`` for the angles ``thetas`` from ``psi``
-    (overwritten): ``advance(stop)`` takes the state to step ``stop`` (half
-    phase, rotations with ``phase`` between), ``energy(diag, delta)`` is <H>
-    there and ``state()`` ends the run: the closing half phase, out of the
-    Walsh basis.  A run enters the basis at its first step and stays there to
-    its last, so records change no bit of its state; a record reads the sx
-    terms as the Walsh spectrum of the state times the levels of D.
+    (overwritten; None for the transverse ground state, which the stepper
+    writes into its own buffer): ``advance(stop)`` takes the state to step
+    ``stop`` (half phase, rotations with ``phase`` between), ``energy(diag,
+    delta)`` is <H> there and ``state()`` ends the run: the closing half
+    phase, out of the Walsh basis.  A run enters the basis at its first step
+    and stays there to its last, so records change no bit of its state; a
+    record reads the sx terms as the Walsh spectrum of the state times the
+    levels of D.
 
     With ``flip`` = +-1, ``psi`` is the spin-flip sector's half state (see
     :func:`evolve`), and each rotation also turns one more site whose sx acts
@@ -363,6 +368,8 @@ def _walsh_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: np.
     (-1)^popcount(s) in the Walsh basis, so it only shifts the levels of D;
     ``state()`` is then the full state (psi, flip psi[::-1]).
     """
+    if psi is None:
+        psi = _initial_amplitudes(n + bool(flip), n)
     dim = 1 << n
     index = np.arange(dim)
     signs = np.where(_popcount(index[:, None] & index, n) & 1, -1.0, 1.0)
@@ -434,6 +441,12 @@ _CYCLED_MAX_SITES = 10
 
 _GRAM_SITES = 4     # sites whose sx terms a record reads from one Gram matrix
 
+# Largest site count whose records read the sx terms of the sites above
+# _GRAM_SITES from one more Gram matrix, not from one vecdot per site.  Per
+# record (Gram / vecdots, one BLAS thread, fastest of 200 in turn): n = 9 29 /
+# 49, 10 38 / 59, 11 87 / 71, 12 351 / 129 us.
+_ROW_GRAM_MAX_SITES = 10
+
 
 def _sx_blocks(n: int) -> tuple[int, ...]:
     """Sites per block, from site 0's block up: near-equal contiguous
@@ -474,31 +487,20 @@ def _rotation_coefficients(thetas: np.ndarray, b: int) -> np.ndarray:
     return np.concatenate((row, -row, np.zeros_like(c)), axis=1)
 
 
-def _gauge_sx_weights(b: int) -> np.ndarray:
-    """W with sum_{i<b} <sx_i> = sum(W * X^T X) for the float rows X, each
-    (b low bits, re/im), of the gauge state psi'_s = i^popcount(s) psi_s.
-    There <sx_i> = 2 sum_s (1 - 2 bit_i(s)) Re psi'_s Im psi'_(s ^ 2^i): twice
-    the sum over the s with bit i clear of (Re psi'_s Im psi'_t - Im psi'_s Re psi'_t),
-    t = s with bit i set."""
-    s = np.arange(1 << b)[:, None]
-    weights = np.zeros((1 << b, 2, 1 << b, 2))
-    weights[s, 0, s ^ 1 << np.arange(b), 1] = 2.0 - 4.0 * (s >> np.arange(b) & 1)
-    return weights.reshape(2 << b, 2 << b)
-
-
-def _gauge_flip_weights(b: int) -> np.ndarray:
-    """W with Re <psi|psi[::-1]> = sum(W * sum_r X_r Y_r) for the float rows X,
-    each (b low bits, re/im), of psi''_s = i^popcount(s mod 2^b) psi_s, and the
-    rows Y of psi'' reversed: as complex entries for even b, as floats (re and
-    im swapped) for odd b.  There conj(psi_s) psi_~s is i^-b (-1)^popcount(s
-    mod 2^b) conj(psi''_s) psi''_~s, whose real part is that of a product of
-    complex entries for even b, and its imaginary part for odd b."""
-    signs = (-1.0) ** (b // 2 + _popcount(np.arange(1 << b), b))
-    return np.outer(signs, (1.0, 1.0 - 2.0 * (b % 2)))
+def _hypercube(bits: int, lowest: int = 0) -> np.ndarray:
+    """A with 1 where two of 2^bits indices differ in one bit, at ``lowest``
+    or above.  With X the float view of a state, reshaped so that its rows
+    index the sites of these bits, the sum of their <sx_i> is sum(A * X X^T):
+    each site's pairs Re conj(psi_s) psi_t appear twice.  So it is for the
+    columns, as sum(A * X^T X) with ``lowest`` = 1 to pass over re/im."""
+    index = np.arange(1 << bits)[:, None]
+    cube = np.zeros((1 << bits, 1 << bits))
+    cube[index, index ^ 1 << np.arange(lowest, bits)] = 1.0
+    return cube
 
 
 def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: np.ndarray,
-                    psi: np.ndarray, flip: int = 0):
+                    psi: np.ndarray | None, flip: int = 0):
     """Stepper applying each rotation as one real matmul per site block.
 
     The state is carried in the gauge psi'_s = i^popcount(s) psi_s, which
@@ -525,15 +527,17 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
 
     The gauge is on from when the stepper is built, and ``state()``, called
     once, ends the run: the gauge off, then the closing half phase, exactly.
-    Every record, the first and the last too, reads <H> in the gauge with the
-    spare buffer as scratch: one pass writes the state in the frame
-    i^popcount(s mod 2^b), b = ``_GRAM_SITES``, by turning it with
-    (-i)^popcount of the bits above b at step 0, and after it by the closing
-    half phase, which ``half_phase`` carries times that power from the first
-    such record on.  The bits above b give their sx terms as dot products of
-    float pairs; the others come from a Gram matrix
-    (:func:`_gauge_sx_weights`), and a sector's top site from the product of
-    that pass with its reversal (:func:`_gauge_flip_weights`).
+    Every record, the first and the last too, reads <H> with the spare buffer
+    as scratch.  One pass writes the physical state chi there: the gauge
+    turned off at step 0, and after it the closing half phase, which
+    ``half_phase`` carries times (-i)^popcount(s) from the first such record
+    on.  There each sx_i term is Re conj(chi_s) chi_(s ^ 2^i), a product of
+    float pairs, read from the float view X = (bits above b, bits below b and
+    re/im), b = ``_GRAM_SITES``: the low sites' from the Gram matrix X^T X,
+    the others' from X X^T up to ``_ROW_GRAM_MAX_SITES`` sites and one vecdot
+    each above (:func:`_hypercube`), and a sector's top site's from one vdot
+    of chi's halves, the upper one reversed.  The Ising term squares chi in
+    place and sums |chi|^2 diag pairwise.
     """
     sizes = _sx_blocks(n)
     cycled = n <= _CYCLED_MAX_SITES
@@ -559,14 +563,19 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
     # a step starts and ends in buffer 0, and its phase writes buffer ``start``
     if not flip:
         # each matmul writes into the other of two state-size buffers
+        if psi is None:
+            psi = _initial_amplitudes(n, n)
         buffers = (psi, np.empty_like(psi))
         start = len(blocks) & 1
         route = [(start ^ (i & 1), 1 - (start ^ (i & 1))) for i in range(len(blocks))]
     else:
         # three buffers in one allocation: a step starts in 0 with y in 1, the
         # top block writes 2, and the others take the state back to 0
-        stack = np.empty((3, psi.shape[0]), dtype=np.complex128)
-        stack[0] = psi
+        stack = np.empty((3, 1 << n), dtype=np.complex128)
+        if psi is None:
+            _initial_amplitudes(n + 1, n, out=stack[0])
+        else:
+            stack[0] = psi
         buffers = tuple(stack)
         start, others = 0, len(blocks) - 1
         targets = [2 * ((others - i) % 2) for i in range(1, others + 1)]
@@ -603,22 +612,20 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
         mirror = buffers[0][::-1].reshape(-1, low_signs.shape[0])
         y = buffers[1].reshape(-1, low_signs.shape[0])
 
-    def turn(chi: np.ndarray, sign: int, lo: int, out: np.ndarray) -> None:
-        # out = chi i^(sign popcount(s >> lo)), over two halves of the bits
-        mid = lo + (n - lo) // 2
-        shape = (1 << (n - mid), 1 << (mid - lo), 1 << lo)
-        upper = powers[sign * counts[:shape[0]] % 4][:, None, None]
+    def turn(chi: np.ndarray, sign: int, out: np.ndarray) -> None:
+        # out = chi i^(sign popcount(s)), over two halves of the bits
+        shape = (1 << (n - n // 2), 1 << (n // 2))
+        upper = powers[sign * counts[:shape[0]] % 4][:, None]
         view = np.multiply(chi.reshape(shape), upper, out=out.reshape(shape))
-        view *= powers[sign * counts[:shape[1]] % 4][:, None]
+        view *= powers[sign * counts[:shape[1]] % 4]
 
+    # a record's float view, (bits above low, bits below low and re/im), and
+    # the weights of its Gram matrices
     low = min(n, _GRAM_SITES)
-    weights = _gauge_sx_weights(low)
-    if flip:
-        flip_weights = _gauge_flip_weights(low)
-        # the record's pass reversed, as complex entries or as floats
-        reversal = ((buffers[2], buffers[1][::-1]) if low % 2 == 0
-                    else (flat[2], flat[1][::-1]))
-    turn(buffers[0], 1, 0, buffers[0])      # the gauge on
+    floats = flat[1].reshape(-1, 2 << low)
+    low_weights = _hypercube(low + 1, 1)
+    row_weights = _hypercube(n - low) if n <= _ROW_GRAM_MAX_SITES else None
+    turn(buffers[0], 1, buffers[0])         # the gauge on
     position, coefficients, tilted = 0, {}, False
     cosines = sines = None
 
@@ -658,35 +665,38 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
         nonlocal tilted
         chi, spare = buffers[0], buffers[1]
         if not position:
-            turn(chi, -1, low, spare)
+            turn(chi, -1, spare)
         else:
             if not tilted:
-                turn(half_phase, -1, low, half_phase)
+                turn(half_phase, -1, half_phase)
                 tilted = True
             np.multiply(chi, half_phase, out=spare)
         sx = 0.0
         if delta != 0.0:
-            rows = spare.view(np.float64).reshape(-1, 2 << low)
-            sx = np.vdot(rows.T @ rows, weights)
-            pairs = spare.view(np.float64).reshape(-1, 2)
-            for i in range(low, n):
-                halves = pairs.reshape(-1, 2, 2 << i)        # axis 1 is bit i
-                sx += 2.0 * np.einsum("ij,ij->", halves[:, 0], halves[:, 1])
+            sx = np.vdot(floats.T @ floats, low_weights)
+            if row_weights is not None:
+                sx += np.vdot(floats @ floats.T, row_weights)
+            else:
+                for i in range(low, n):
+                    halves = flat[1].reshape(-1, 2, 2 << i)      # axis 1 is bit i
+                    sx += 2.0 * np.vecdot(halves[:, 0], halves[:, 1]).sum()
             if flip:
-                np.copyto(*reversal)
-                mirrored = flat[2].reshape(-1, 1 << low, 2)
-                mirrored *= flip_weights
-                sx += flip * np.dot(flat[1], flat[2])
-        terms = np.square(spare.view(np.float64), out=spare.view(np.float64)).reshape(-1, 2)
-        terms *= diag[:, None]      # summed pairwise: the Ising term can nearly cancel
-        energy = terms.sum() + delta * sx
+                # Re <chi|chi[::-1]>, whose halves' terms are equal
+                half = spare.shape[0] // 2
+                sx += 2.0 * flip * np.vdot(spare[:half], spare[half:][::-1]).real
+        # |chi|^2 diag summed pairwise, where the Ising term can nearly cancel
+        squares = np.square(flat[1], out=flat[1]).reshape(-1, 2)
+        norms = squares[:, 0]
+        norms += squares[:, 1]
+        norms *= diag
+        energy = norms.sum() + delta * sx
         return float(2.0 * energy if flip else energy)
 
     def state() -> np.ndarray:
         # the gauge off, then the closing half phase
-        turn(buffers[0], -1, 0, buffers[0])
+        turn(buffers[0], -1, buffers[0])
         if tilted:
-            turn(half_phase, 1, low, half_phase)
+            turn(half_phase, 1, half_phase)
         np.multiply(buffers[0], half_phase, out=buffers[0])
         if not flip:
             return buffers[0]
@@ -730,9 +740,8 @@ def evolve(model: IsingModel, schedule: Schedule, psi0: np.ndarray | None = None
     if psi0 is None and not np.any(model.h) and not _WALSH_MAX_SITES < n <= _CYCLED_MAX_SITES:
         flip = (-1) ** n
     sites = n - bool(flip)
-    if psi0 is None:
-        psi = _initial_amplitudes(n, sites)
-    else:
+    psi = None      # the stepper writes the initial state into its own buffer
+    if psi0 is not None:
         psi = np.array(psi0, dtype=np.complex128)
         if psi.shape != (1 << n,):
             raise ValueError(f"initial state must have shape ({1 << n},)")

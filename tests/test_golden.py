@@ -71,7 +71,9 @@ CASES = {
 # annealed in its spin-flip sector, and the fg_grid stdout, when the cut
 # line came to be printed for MAX-CUT problems only.  The fg_grid trace moved
 # again, by 3.7e-16 of max |<H>| at most, when the Walsh stepper came to read
-# the sx terms of <H> from the state's Walsh spectrum.
+# the sx terms of <H> from the state's Walsh spectrum.  The chain trace moved
+# by 1.5e-16 of max |<H>| at most when the blocked stepper came to sum the
+# Ising term as |chi|^2 diag per state.
 DIGESTS = {
     "sweep-L": {
         "exit": 0,
@@ -127,7 +129,7 @@ DIGESTS = {
         "stdout": "921579839e441600015d5fc0d24044098bf15f34df0a6a5be5c3c997bc48b885",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out_histogram.csv": "fcec090556fc52314bc9868b6b3ca230cb1538f76e640fcfe8cf39d17e18a46a",
-        "out_trace.csv": "bdedd44ebad1b18df59154635f7ab3c3ec4033ea4723e12d399b89b30dad8715",
+        "out_trace.csv": "583df9df21e4b40bf049c375ea0522b39d1b9a8a24ff961e6717d1d56e710d3d",
     },
 }
 
