@@ -9,21 +9,22 @@ zero.  States live in the full 2^N amplitude vector; basis index ``s``
 encodes site ``i`` in bit ``i``, bit value 0 meaning spin +1.  The
 evolution is a symmetric (Strang) splitting between the diagonal Ising
 part and the product of single-site transverse rotations, so every step
-is exactly unitary.  The diagonal half-phases of consecutive steps are
-merged into one phase P, and the rotation angles of all steps come from
-one array call of the schedule.  One stepper, chosen by N, carries a run:
+is exactly unitary.  A stepper holds the state with its closing half
+phase divided out, so that every step, the first too, opens with one full
+phase P, and the rotation angles of all steps come from one array call of
+the schedule.  One stepper, chosen by N, carries a run:
 
 * N <= 6 (``_WALSH_MAX_SITES``): in the Walsh-Hadamard basis, where
-  sum_i sx_i is diagonal, a step is one elementwise phase and one dense
-  2^N x 2^N matmul by the run's fixed mixer H diag(P) H.
+  sum_i sx_i is diagonal, a step is one dense 2^N x 2^N matmul by the
+  run's fixed mixer H diag(P) H and one elementwise rotation phase.
 * N >= 7: in the gauge i^popcount(s) psi_s, where each single-site
-  rotation is real, a step is the phase and one real matmul per block of
-  b <= 4 sites on the float view (2^(N+1) * 2^b multiply-adds), which up
-  to N = 10 (``_CYCLED_MAX_SITES``) also cycles the block's bits to the
-  bottom of the index.  The gauge, buffers and tables last the whole run.
-Each stepper reads a trace record's <H> in its own basis, and only its
-``state()`` leaves that basis, at the end of the run, so a recorded run
-ends bit for bit where the unrecorded one does.
+  rotation is real, a step is P and one real matmul per block of b <= 4
+  sites on the float view (2^(N+1) * 2^b multiply-adds), which up to
+  N = 10 (``_CYCLED_MAX_SITES``) also cycles the block's bits to the
+  bottom of the index.
+A record and the final state multiply the held state by the closing half
+phase (in the gauge, with the gauge divided out too), a record into scratch,
+so a recorded run ends bit for bit where the unrecorded one does.
 Per step, one BLAS thread on a two-core Xeon: 1.3 us at N <= 3, 3.2 us at
 6, 3.8 us at 7, 8.7 us at 10, 0.13 ms at 14 and 0.87 ms at 16.  A blocked
 trace record, with the pairwise-broadcast reader it replaced and now
@@ -330,10 +331,6 @@ def apply_hamiltonian(model: IsingModel, delta: float, psi: np.ndarray) -> np.nd
     return out
 
 
-def _popcount(values: np.ndarray, bits: int) -> np.ndarray:
-    return sum(((values >> i) & 1 for i in range(bits)), np.zeros_like(values))
-
-
 # Largest site count stepped by the Walsh kernel, whose step is a dense 4^n
 # matmul.  Per step (Walsh / blocked), one BLAS thread on a two-core Xeon,
 # fastest of 42 runs in turn: n = 5 2.7 / 4.3, 6 3.9 / 4.6, 7 7.3 / 3.6 us.
@@ -348,19 +345,18 @@ def _walsh_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: np.
     """Stepper carrying the state in the Walsh-Hadamard basis.
 
     With H[r, c] = (-1)^popcount(r & c) / sqrt(2^n), exp(-i theta sum_i sx_i)
-    is H D H with D = exp(-i theta (n - 2 popcount(s))), so with the merged
-    phase ``phase`` between rotations a step is a phase D_k and the fixed
-    mixer H diag(phase) H: the Walsh transform of ``phase`` at r ^ s / sqrt(2^n).
+    is H D H with D = exp(-i theta (n - 2 popcount(s))).  The stepper holds
+    phi = H (psi / half_phase), the state with its closing half phase divided
+    out, so a step is the fixed mixer H diag(phase) H (the Walsh transform of
+    ``phase`` at r ^ s / sqrt(2^n)) and then D_k.
 
     Returns ``(advance, energy, state)`` for the angles ``thetas`` from ``psi``
-    (overwritten; None for the transverse ground state, which the stepper
-    writes into its own buffer): ``advance(stop)`` takes the state to step
-    ``stop`` (half phase, rotations with ``phase`` between), ``energy(diag,
-    delta)`` is <H> there and ``state()`` ends the run: the closing half
-    phase, out of the Walsh basis.  A run enters the basis at its first step
-    and stays there to its last, so records change no bit of its state; a
-    record reads the sx terms as the Walsh spectrum of the state times the
-    levels of D.
+    (None for the transverse ground state, which the stepper writes into its
+    own buffer): ``advance(stop)`` takes the state to step ``stop``,
+    ``energy(diag, delta)`` is <H> there and ``state()`` is the state, each
+    from H phi times ``half_phase``, so records change no bit of the run.  A
+    record reads the sx terms as the Walsh spectrum of that state times the
+    levels of D.  ``psi`` and ``half_phase`` become the stepper's own arrays.
 
     With ``flip`` = +-1, ``psi`` is the spin-flip sector's half state (see
     :func:`evolve`), and each rotation also turns one more site whose sx acts
@@ -372,48 +368,33 @@ def _walsh_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: np.
         psi = _initial_amplitudes(n + bool(flip), n)
     dim = 1 << n
     index = np.arange(dim)
-    signs = np.where(_popcount(index[:, None] & index, n) & 1, -1.0, 1.0)
+    signs = np.where(np.bitwise_count(index[:, None] & index) & 1, -1.0, 1.0)
     walsh = signs / math.sqrt(dim)
     # scaled by the exact 1 / dim: a rounded (1 / sqrt(dim))^2 would grow
     # the norm by an ulp on every step
     mixer = (signs @ phase / dim)[index[:, None] ^ index]
-    counts = _popcount(index, n)
+    counts = np.bitwise_count(index)
     levels = n - 2.0 * np.arange(n + 1) + flip * (-1.0) ** np.arange(n + 1)
     # each mixer product writes into the other of two buffers
-    position, rotations, phi, spare = 0, None, None, np.empty_like(psi)
+    phi, spare = walsh @ np.divide(psi, half_phase, out=psi), psi
+    position, rotations = 0, None
 
     def advance(stop: int) -> None:
-        nonlocal psi, phi, spare, position, rotations
-        if stop == position:
-            return
-        if phi is None:     # into the Walsh basis
-            psi *= half_phase
-            phi = walsh @ psi
-        else:               # the phase merged across the last advance's end
-            np.dot(mixer, phi, out=spare)
-            phi, spare = spare, phi
+        nonlocal phi, spare, position, rotations
         for lo in range(position - position % _CHUNK_STEPS, stop, _CHUNK_STEPS):
             if lo >= position:      # a chunk that no earlier advance began
                 chunk = thetas[lo:lo + _CHUNK_STEPS]
                 rotations = np.exp(-1j * np.multiply.outer(chunk, levels))[:, counts]
-            if lo > position:
+            for d in rotations[max(position - lo, 0):stop - lo]:
                 np.dot(mixer, phi, out=spare)
                 phi, spare = spare, phi
-            steps = rotations[max(position - lo, 0):stop - lo]
-            for d in steps[:-1]:
                 phi *= d
-                np.dot(mixer, phi, out=spare)
-                phi, spare = spare, phi
-            phi *= steps[-1]
         position = stop
-
-    def physical() -> np.ndarray:
-        return psi if phi is None else walsh @ phi * half_phase
 
     def energy(diag: np.ndarray, delta: float) -> float:
         # |chi|^2 diag and |H chi|^2 levels, each summed pairwise: the Ising
         # term can nearly cancel
-        chi = physical()
+        chi = walsh @ phi * half_phase
         terms = np.square(chi.view(np.float64)).reshape(-1, 2)
         terms *= diag[:, None]
         spectrum = np.square((walsh @ chi).view(np.float64)).reshape(-1, 2)
@@ -422,7 +403,7 @@ def _walsh_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: np.
         return float(2.0 * energy if flip else energy)
 
     def state() -> np.ndarray:
-        chi = physical()
+        chi = walsh @ phi * half_phase
         return np.concatenate((chi, flip * chi[::-1])) if flip else chi
 
     return advance, energy, state
@@ -471,7 +452,7 @@ def _rotation_index(b: int, lowest: bool = False) -> np.ndarray:
     """
     r = np.arange(1 << b)[:, None]
     c = np.arange(1 << b)
-    index = _popcount(r ^ c, b) + (b + 1) * (_popcount(~r & c, b) & 1)
+    index = np.bitwise_count(r ^ c) + (b + 1) * (np.bitwise_count(~r & c) & 1)
     if not lowest:
         return index
     same = np.eye(2, dtype=bool)[None, :, None, :]
@@ -519,25 +500,26 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
     blocks at least), and each step also turns the sector's top site: cos
     theta psi - i flip sin theta psi[::-1], in the gauge cos theta psi'_s +
     sin theta u (-1)^popcount(s) psi'_~s with u = -i^(1-n) flip.  It commutes
-    with every block, so the top block goes first and takes it along: one
-    pass writes y = u (-1)^popcount(bits below the block) psi'[::-1] under
-    the state, and the block's matmul reads both with the matrix [cos theta M,
-    sin theta M diag((-1)^popcount(block bits))].  ``state()`` is then the
-    full state (psi, flip psi[::-1]).
+    with every block, so the top block goes first and takes it along: one pass
+    writes y = u (-1)^popcount(bits below the block) psi'[::-1] under the
+    state, and the block's matmul reads both with the matrix [cos theta M, sin
+    theta M diag((-1)^popcount(block bits))].  ``state()`` is then the full
+    state (psi, flip psi[::-1]).
 
-    The gauge is on from when the stepper is built, and ``state()``, called
-    once, ends the run: the gauge off, then the closing half phase, exactly.
-    Every record, the first and the last too, reads <H> with the spare buffer
-    as scratch.  One pass writes the physical state chi there: the gauge
-    turned off at step 0, and after it the closing half phase, which
-    ``half_phase`` carries times (-i)^popcount(s) from the first such record
-    on.  There each sx_i term is Re conj(chi_s) chi_(s ^ 2^i), a product of
-    float pairs, read from the float view X = (bits above b, bits below b and
-    re/im), b = ``_GRAM_SITES``: the low sites' from the Gram matrix X^T X,
-    the others' from X X^T up to ``_ROW_GRAM_MAX_SITES`` sites and one vecdot
-    each above (:func:`_hypercube`), and a sector's top site's from one vdot
-    of chi's halves, the upper one reversed.  The Ising term squares chi in
-    place and sums |chi|^2 diag pairwise.
+    The stepper holds psi' / closing, the state with its closing half phase
+    divided out, where closing = half_phase (-i)^popcount(s) takes the gauge
+    off as well: ``half_phase``, the stepper's own array as ``psi`` is, is
+    tilted into ``closing`` in place when the stepper is built.  A step is
+    then one multiply by ``phase`` and the blocks, and ``state()``, called
+    once, ends the run with one multiply by ``closing`` in place.  A record
+    writes the same product, the physical state chi, into the spare buffer and
+    reads <H> there.  Each sx_i term is Re conj(chi_s) chi_(s ^ 2^i), a
+    product of float pairs, read from the float view X = (bits above b, bits
+    below b and re/im), b = ``_GRAM_SITES``: the low sites' from the Gram
+    matrix X^T X, the others' from X X^T up to ``_ROW_GRAM_MAX_SITES`` sites
+    and one vecdot each above (:func:`_hypercube`), and a sector's top site's
+    from one vdot of chi's halves, the upper one reversed.  The Ising term
+    squares chi in place and sums |chi|^2 diag pairwise.
     """
     sizes = _sx_blocks(n)
     cycled = n <= _CYCLED_MAX_SITES
@@ -588,8 +570,7 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
     plan = [(flat[source].reshape(shape[::-1]).T if cycled else flat[source].reshape(shape),
              flat[target].reshape(shape), tables[b, lowest], len(shape) == 3)
             for (b, lowest, shape), (source, target) in zip(blocks, route)]
-    powers = np.array([1.0, 1.0j, -1.0, -1.0j])
-    counts = _popcount(np.arange(1 << (n - n // 2)), n)
+    powers = np.array([1.0, -1.0j, -1.0, 1.0j])     # (-i)^k
     if flip:
         # the top block's matmul on the state and y one above the other, with
         # the matrices [cos theta M, sin theta M S] along the axis it contracts
@@ -601,23 +582,16 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
         plan[0] = ((pair.T, plan[0][1], stacked, False) if cycled
                    else (pair, flat[2].reshape(1 << top, -1), stacked, True))
         cos_half, sin_half = np.split(stacked, 2, axis=axis)
-        block_signs = ((-1.0) ** _popcount(np.arange(1 << top), top)).reshape(
+        block_signs = ((-1.0) ** np.bitwise_count(np.arange(1 << top))).reshape(
             (1, -1, 1) if cycled else (1, 1, -1))
         # y's signs; cycled, repeated over the block's bits, as a 1-D product
-        # costs less there (2.9 -> 2.0 us at n = 9)
-        low_signs = -flip * powers[(1 - n) % 4] * (-1.0) ** _popcount(
-            np.arange(1 << (n - top)), n - top)
+        # costs less there (2.3 -> 1.8 us at n = 10)
+        low_signs = -flip * powers[(n - 1) % 4] * (-1.0) ** np.bitwise_count(
+            np.arange(1 << (n - top)))
         if cycled:
             low_signs = np.tile(low_signs, 1 << top)
         mirror = buffers[0][::-1].reshape(-1, low_signs.shape[0])
         y = buffers[1].reshape(-1, low_signs.shape[0])
-
-    def turn(chi: np.ndarray, sign: int, out: np.ndarray) -> None:
-        # out = chi i^(sign popcount(s)), over two halves of the bits
-        shape = (1 << (n - n // 2), 1 << (n // 2))
-        upper = powers[sign * counts[:shape[0]] % 4][:, None]
-        view = np.multiply(chi.reshape(shape), upper, out=out.reshape(shape))
-        view *= powers[sign * counts[:shape[1]] % 4]
 
     # a record's float view, (bits above low, bits below low and re/im), and
     # the weights of its Gram matrices
@@ -625,8 +599,12 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
     floats = flat[1].reshape(-1, 2 << low)
     low_weights = _hypercube(low + 1, 1)
     row_weights = _hypercube(n - low) if n <= _ROW_GRAM_MAX_SITES else None
-    turn(buffers[0], 1, buffers[0])         # the gauge on
-    position, coefficients, tilted = 0, {}, False
+    # closing = half_phase (-i)^popcount(s), over two halves of the bits
+    closing = half_phase.reshape(1 << (n - n // 2), -1)
+    closing *= powers[np.bitwise_count(np.arange(closing.shape[0])) % 4][:, None]
+    closing *= powers[np.bitwise_count(np.arange(closing.shape[1])) % 4]
+    np.divide(buffers[0], half_phase, out=buffers[0])
+    position, coefficients = 0, {}
     cosines = sines = None
 
     def advance(stop: int) -> None:
@@ -650,8 +628,7 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
                         np.multiply(base[filled], cosines[k:k + steps], out=cos_half[filled])
                         np.multiply(base[filled], sines[k:k + steps] * block_signs,
                                     out=sin_half[filled])
-                # the opening half phase, or the two merged
-                np.multiply(buffers[0], phase if lo + k else half_phase, out=buffers[start])
+                np.multiply(buffers[0], phase, out=buffers[start])
                 if flip:
                     np.multiply(mirror, low_signs, out=y)
                 for state, out, table, left in plan:
@@ -662,15 +639,7 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
         position = stop
 
     def energy(diag: np.ndarray, delta: float) -> float:
-        nonlocal tilted
-        chi, spare = buffers[0], buffers[1]
-        if not position:
-            turn(chi, -1, spare)
-        else:
-            if not tilted:
-                turn(half_phase, -1, half_phase)
-                tilted = True
-            np.multiply(chi, half_phase, out=spare)
+        spare = np.multiply(buffers[0], half_phase, out=buffers[1])
         sx = 0.0
         if delta != 0.0:
             sx = np.vdot(floats.T @ floats, low_weights)
@@ -693,10 +662,6 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
         return float(2.0 * energy if flip else energy)
 
     def state() -> np.ndarray:
-        # the gauge off, then the closing half phase
-        turn(buffers[0], -1, buffers[0])
-        if tilted:
-            turn(half_phase, 1, half_phase)
         np.multiply(buffers[0], half_phase, out=buffers[0])
         if not flip:
             return buffers[0]

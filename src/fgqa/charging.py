@@ -175,7 +175,9 @@ def reduce_network(net: CapacitanceNetwork, bias: BiasSet) -> ReducedChargingFor
     c_eff = np.empty_like(sigma)
     c_eff[0] = sigma[0]
     for i in (1, 2):
-        c_eff[i] = sigma[i] + net.c_fg[i - 1] - net.c_fg[i - 1]**2 / c_eff[i - 1]
+        # squared by a product, as an array is: ** on a scalar is libm pow
+        c_fg = net.c_fg[i - 1]
+        c_eff[i] = sigma[i] + c_fg - c_fg * c_fg / c_eff[i - 1]
     q_offset, w_bias = _offsets(net, bias.v_gate, bias.v_sub, bias.v_rail)
     return ReducedChargingForm(c_eff=c_eff, q_offset=q_offset, w_bias=w_bias,
                                network=net)

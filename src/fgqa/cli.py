@@ -486,7 +486,8 @@ def cmd_anneal(cfg: dict, out: str | None, seed: int) -> int:
         raise ConfigError("schedule.delta0_ev is required for this problem kind")
     schedule = annealing.Schedule(delta0=delta0, **sched)
 
-    record_every = max(1, schedule.steps // 200)
+    # the trace is recorded only to be written
+    record_every = max(1, schedule.steps // 200) if out is not None else 0
     result = annealing.evolve(model, schedule, record_every=record_every)
     histogram = annealing.measure(result.psi, shots, seed)
 

@@ -126,8 +126,9 @@ def tunnel_amplitude(geom: CellGeometry, barrier: TunnelBarrier, v_cg=0.0):
             f"shifted Fermi level {e_f_shifted[collapsed][0]:.4g} eV is at or above the "
             f"barrier top {barrier.barrier_ev:.4g} eV; no evanescent barrier left")
     n_side = participants(geom, e_f, barrier.m_si)
-    prefactor_ev = (n_side * n_side * CONST.rydberg_ev / barrier.m_si
-                    * (math.pi * CONST.bohr_radius_nm / geom.length) ** 2)
+    # squared by a product, as an array is: ** on a scalar is libm pow
+    ratio = math.pi * CONST.bohr_radius_nm / geom.length
+    prefactor_ev = n_side * n_side * CONST.rydberg_ev / barrier.m_si * (ratio * ratio)
     exponent = -(barrier.d_ox / CONST.bohr_radius_nm) * np.sqrt(
         barrier.m_ox * headroom / CONST.rydberg_ev)
     return float_or_array(prefactor_ev * np.exp(exponent) * CONST.hz_per_ev)

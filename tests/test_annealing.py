@@ -215,7 +215,7 @@ class TestTransverseRotation:
         # (psi, flip psi[::-1]), whose half phase is (phase, phase[::-1])
         psi = random_state(rng, n)
         phase = np.exp(-1j * rng.uniform(0.0, 0.1, 2**n))
-        advance, energy, _ = _blocked_kernel(n, phase * phase, phase, np.array([0.3]),
+        advance, energy, _ = _blocked_kernel(n, phase * phase, phase.copy(), np.array([0.3]),
                                              psi.copy(), flip)
         full = np.concatenate((psi, flip * psi[::-1])) if flip else psi
         halves = np.concatenate((phase, phase[::-1])) if flip else phase
@@ -335,17 +335,23 @@ class TestStepKernels:
         steps = 300 if n < 16 else 30
         sched = Schedule(delta0=2.0, t_total=0.05 * steps, steps=steps, profile="exponential")
         h, j = rng.normal(size=n), rng.normal(size=n - 1)
-        for model in (chain_model(h, j), chain_model(np.zeros(n), j)):
-            # from the transverse ground state <H> stays well below zero, so a
-            # relative bound means the same everywhere along the trace
-            states = strang_states(model, sched, initial_state(n))
+        field = chain_model(h, j)
+        # from the transverse ground state <H> stays well below zero, so a
+        # relative bound means the same everywhere along the trace.  From a
+        # random state, which the stop-0 record reads back from the stepper's
+        # held form, <H> can pass zero: there the bound is also relative to
+        # the largest |<H>| possible
+        bound = np.abs(h).sum() + np.abs(j).sum() + n * sched.delta0
+        for model, psi0, atol in ((field, None, 0.0), (chain_model(np.zeros(n), j), None, 0.0),
+                                  (field, random_state(rng, n), 1e-12 * bound)):
+            states = strang_states(model, sched, initial_state(n) if psi0 is None else psi0)
             for record_every in (1, 7, 100):
-                res = evolve(model, sched, record_every=record_every)
+                res = evolve(model, sched, psi0, record_every=record_every)
                 recorded = [*range(0, steps, record_every), steps]
                 assert len(res.energies) == len(recorded)
                 expected = [np.vdot(states[k], apply_hamiltonian(model, d, states[k])).real
                             for k, d in zip(recorded, res.deltas)]
-                np.testing.assert_allclose(res.energies, expected, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(res.energies, expected, rtol=1e-12, atol=atol)
 
     # the Walsh stepper at odd and even n, where its scale 1 / sqrt(2^n) is
     # rounded and exact, and the blocked stepper cycled and in place
@@ -960,7 +966,25 @@ class TestDeviceParametersOnArrays:
                                          float(v_cg[k]))
             want = self.flat(params, amplitude)
             assert all(type(w) is float for w in want)
-            np.testing.assert_allclose([g[k] for g in got], want, rtol=2e-15, atol=0.0)
+            assert [g[k] for g in got] == want
+
+    # a point whose Ising terms (c_fg squared in the pivots) and one whose
+    # amplitude ((pi a0 / L) squared) rounded differently alone and in a sweep
+    # while a scalar was squared by ``**``
+    @pytest.mark.parametrize("fields, n_g, v_cg", [
+        ({"length": 21.0, "width": 15.596835170035293, "height": 107.0248745896617,
+          "d_ox": 4.299951542161482, "d_gate": 6.684118031657584, "gap": 11.618328923677613},
+         -0.0265450172961348, 1.2417725637201427),
+        ({"length": 27.410594772527713, "width": 18.0, "height": 6.0, "d_ox": 5.49477865879105,
+          "d_gate": 12.0, "gap": 28.822675404739076}, -0.015020167666578786,
+         -0.7530126053817258),
+    ], ids=["ising", "amplitude"])
+    def test_point_equals_its_sweep(self, fields, n_g, v_cg):
+        bias = BiasSet((0.0, 0.1, 0.0), 0.05, (0.0, 0.02, -0.02, 0.0))
+        point = device_parameters(CellGeometry(**fields), self.MATS[0], bias, n_g, v_cg)
+        sweep = device_parameters(CellGeometry(**{k: np.array([v]) for k, v in fields.items()}),
+                                  self.MATS[0], bias, n_g, np.array([v_cg]))
+        assert self.flat(*point) == [g[0] for g in self.flat(*sweep)]
 
     def test_scalar_fields_broadcast_against_an_array(self):
         heights = np.array([10.0, 55.0, 100.0])

@@ -393,6 +393,25 @@ class TestAnneal:
         assert theader == ["t", "delta_eV", "energy_eV"]
         assert len(trows) >= 2
 
+    # the MAX-CUT problem runs in the spin-flip sector, the chain with fields
+    # in the full state
+    @pytest.mark.parametrize("problem", [
+        ANNEAL_CFG["problem"],
+        {"kind": "chain", "h": [0.3, -0.2, 0.1, 0.25, -0.15], "j": [0.5, -0.4, 0.6, 0.3]}],
+        ids=["maxcut", "chain"])
+    def test_trace_is_recorded_only_with_out(self, tmp_path, capsys, monkeypatch, problem):
+        recorded = []
+        evolve = annealing.evolve
+        monkeypatch.setattr(annealing, "evolve", lambda *args, **kwargs: (
+            recorded.append(kwargs["record_every"]) or evolve(*args, **kwargs)))
+        path = write_config(tmp_path, "c.json", dict(ANNEAL_CFG, problem=problem))
+        stdout = []
+        for extra in ([], ["--out", str(tmp_path / "run")]):
+            assert main(["anneal", "--config", path, "--seed", "7", *extra]) == EXIT_OK
+            stdout.append(capsys.readouterr().out)
+        assert recorded == [0, ANNEAL_CFG["schedule"]["steps"] // 200]
+        assert stdout[0] == stdout[1]
+
     def test_fixed_seed_is_byte_identical(self, tmp_path, capsys):
         path = write_config(tmp_path, "c.json", ANNEAL_CFG)
         for prefix in ("one", "two"):

@@ -73,7 +73,9 @@ CASES = {
 # again, by 3.7e-16 of max |<H>| at most, when the Walsh stepper came to read
 # the sx terms of <H> from the state's Walsh spectrum.  The chain trace moved
 # by 1.5e-16 of max |<H>| at most when the blocked stepper came to sum the
-# Ising term as |chi|^2 diag per state.
+# Ising term as |chi|^2 diag per state.  Both traces moved, by 1.1e-18 eV
+# (fg_grid) and 3.0e-16 of max |<H>| (chain) at most, when the steppers came
+# to hold the state with its closing half phase divided out.
 DIGESTS = {
     "sweep-L": {
         "exit": 0,
@@ -122,14 +124,14 @@ DIGESTS = {
         "stdout": "133ad1fac1e2868801b260c366a8b3d4049432d0729a94d6c2d766ba9e000f57",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out_histogram.csv": "6cbfab55011740a807793a9fd1937f73fe416e9d466849e7f37aa864eac6d5d8",
-        "out_trace.csv": "ccd216b27090741baab758cd1cf02e9536226be2590315b7e2cac546ac8c27c9",
+        "out_trace.csv": "5b5b70b08089e8a61baa104c78a080aa6433df32e0930fa811886bed827a6d08",
     },
     "anneal-chain": {
         "exit": 0,
         "stdout": "921579839e441600015d5fc0d24044098bf15f34df0a6a5be5c3c997bc48b885",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out_histogram.csv": "fcec090556fc52314bc9868b6b3ca230cb1538f76e640fcfe8cf39d17e18a46a",
-        "out_trace.csv": "583df9df21e4b40bf049c375ea0522b39d1b9a8a24ff961e6717d1d56e710d3d",
+        "out_trace.csv": "477a38eeb9bbd4d6b23e87a119de36a43f89814b706a4694f63843459ebce0bc",
     },
 }
 
