@@ -83,7 +83,9 @@ __all__ = [
     "initial_state",
     "apply_hamiltonian",
     "evolve",
+    "sample_counts",
     "measure",
+    "state_strings",
     "brute_force_ground_state",
     "success_probability",
     "device_parameters",
@@ -92,6 +94,7 @@ __all__ = [
 
 MAX_SITES = 24
 MAX_BRUTE_FORCE_SITES = 20
+MAX_SHOTS = 1 << 24     # 16 B a shot for the uniforms and their indices: 256 MB
 
 
 @dataclass(frozen=True)
@@ -272,11 +275,13 @@ def _bits_from_state(n: int, state: str) -> np.ndarray:
     return np.array([1 if ch == "1" else 0 for ch in state], dtype=np.int8)
 
 
-def _state_strings(n: int, indices: np.ndarray) -> list[str]:
-    """Basis bitstring of each amplitude index (site i at character i)."""
-    # read as fixed-width bytes
-    chars = ((indices[:, None] >> np.arange(n)) & 1).astype(np.uint8) + ord("0")
-    return chars.view(f"S{n}").ravel().astype(str).tolist()
+def state_strings(n: int, indices: np.ndarray) -> np.ndarray:
+    """Basis bitstring of each amplitude index (site i at character i), as
+    a str array."""
+    # the low n bits of each index's little-endian bytes, read as fixed-width bytes
+    octets = np.asarray(indices, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    chars = np.unpackbits(octets, axis=1, count=n, bitorder="little") + ord("0")
+    return chars.view(f"S{n}").ravel().astype(str)
 
 
 def diagonal_energies(model: IsingModel) -> np.ndarray:
@@ -736,22 +741,50 @@ def evolve(model: IsingModel, schedule: Schedule, psi0: np.ndarray | None = None
                            energies=np.array(energies))
 
 
-def measure(psi: np.ndarray, shots: int, seed: int) -> dict[str, int]:
-    """Sample computational-basis bitstrings from |psi|^2.
+def sample_counts(psi: np.ndarray, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``shots`` basis states from |psi|^2 by inverting its CDF.
 
-    Reproducible for a fixed seed; returns only outcomes that occurred.
+    Returns the drawn amplitude indices in ascending order and how often
+    each was drawn; reproducible for a fixed seed.  The CDF is divided by
+    its last entry, which is then exactly 1, and each of the sorted
+    uniforms u in [0, 1) maps to the first index whose CDF exceeds u, so
+    a state of zero probability is never drawn (Devroye, Non-Uniform
+    Random Variate Generation, 1986, ch. 2).
     """
-    if shots < 1:
-        raise ValueError("shot count must be at least 1")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shot count must be in [1, {MAX_SHOTS}], got {shots}")
     psi = np.asarray(psi)
     n = int(round(math.log2(psi.shape[0])))
     if n < 1 or 1 << n != psi.shape[0]:
         raise ValueError("state length must be a power of two, at least 2")
-    p = np.abs(psi) ** 2
-    p /= p.sum()
-    counts = np.random.default_rng(seed).multinomial(shots, p)
-    outcomes = np.flatnonzero(counts)
-    return dict(zip(_state_strings(n, outcomes), counts[outcomes].tolist()))
+    cdf = np.abs(psi).astype(float, copy=False)
+    with np.errstate(over="ignore"):        # an overflow reads as an infinite norm
+        np.multiply(cdf, cdf, out=cdf)
+        np.cumsum(cdf, out=cdf)
+    total = float(cdf[-1])
+    if not 0.0 < total < math.inf:          # false for NaN too
+        raise ValueError(f"state norm must be positive and finite, got |psi|^2 sum {total!r}")
+    cdf /= total
+    u = np.random.default_rng(seed).random(shots)
+    u.sort()
+    drawn = np.searchsorted(cdf, u, side="right")
+    del u
+    first = np.empty(shots, dtype=bool)     # where a run of equal draws starts
+    first[0] = True
+    np.not_equal(drawn[1:], drawn[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return drawn[starts], np.diff(starts, append=shots)
+
+
+def measure(psi: np.ndarray, shots: int, seed: int) -> dict[str, int]:
+    """Sample computational-basis bitstrings from |psi|^2.
+
+    The string view of :func:`sample_counts`: only outcomes that occurred,
+    in ascending index order.
+    """
+    outcomes, counts = sample_counts(psi, shots, seed)
+    n = len(psi).bit_length() - 1
+    return dict(zip(state_strings(n, outcomes).tolist(), counts.tolist()))
 
 
 def brute_force_ground_state(model: IsingModel) -> GroundState:
@@ -762,7 +795,8 @@ def brute_force_ground_state(model: IsingModel) -> GroundState:
     """
     _check_brute_force(model)
     e_min, minimisers = _minimisers(model.diagonal)
-    return GroundState(energy=e_min, states=tuple(_state_strings(model.n_sites, minimisers)))
+    return GroundState(energy=e_min,
+                       states=tuple(state_strings(model.n_sites, minimisers).tolist()))
 
 
 def _check_brute_force(model: IsingModel) -> None:

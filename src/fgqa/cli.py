@@ -474,8 +474,7 @@ _ANNEAL_KEYS = {"schema_version": _VERSION, "problem": (_problem, REQUIRED),
                                             exclude_min=True), OMIT),
                     "time_unit": (partial(_choice, options=("natural", "seconds")), OMIT)}),
                     {}),
-                # multinomial draws the shots as one int64
-                "shots": (partial(_count, max_value=np.iinfo(np.int64).max), 4096)}
+                "shots": (partial(_count, max_value=annealing.MAX_SHOTS), 4096)}
 
 
 def cmd_anneal(cfg: dict, out: str | None, seed: int) -> int:
@@ -489,29 +488,26 @@ def cmd_anneal(cfg: dict, out: str | None, seed: int) -> int:
     # the trace is recorded only to be written
     record_every = max(1, schedule.steps // 200) if out is not None else 0
     result = annealing.evolve(model, schedule, record_every=record_every)
-    histogram = annealing.measure(result.psi, shots, seed)
-
-    diag = model.diagonal
+    outcomes, counts = annealing.sample_counts(result.psi, shots, seed)
+    states = annealing.state_strings(model.n_sites, outcomes)
+    # most frequent first, ties in string order; stdout reads the first row
+    ranked = np.lexsort((states, -counts))
+    states, counts, energies = states[ranked], counts[ranked], model.diagonal[outcomes[ranked]]
     if out is not None:
-        ranked = sorted(histogram.items(), key=lambda kv: (-kv[1], kv[0]))
-        states = [state for state, _ in ranked]
-        counts = np.array([count for _, count in ranked])
         _write_csv(f"{out}_histogram.csv", "anneal", cfg,
                    ["state", "count", "frequency", "energy_eV"],
-                   [states, counts, counts / shots,
-                    diag[[int(state[::-1], 2) for state in states]]])
+                   [states, counts, counts / shots, energies])
         _write_csv(f"{out}_trace.csv", "anneal", cfg,
                    ["t", "delta_eV", "energy_eV"],
                    [result.times, result.deltas, result.energies])
 
-    best_state, best_count = max(histogram.items(), key=lambda kv: (kv[1], kv[0]))
-    best_energy = float(diag[int(best_state[::-1], 2)])
+    best_state = str(states[0])
     print(f"sites: {model.n_sites}  topology: {model.topology}")
-    print(f"most frequent state: {best_state}  ({best_count}/{shots} shots, "
-          f"energy {best_energy!r} eV)")
+    print(f"most frequent state: {best_state}  ({counts[0]}/{shots} shots, "
+          f"energy {float(energies[0])!r} eV)")
     if model.n_sites <= annealing.MAX_BRUTE_FORCE_SITES:
         ground = annealing.brute_force_ground_state(model)
-        in_ground = sum(histogram.get(s, 0) for s in ground.states)
+        in_ground = counts[np.isin(states, ground.states)].sum()
         print(f"exact ground energy: {ground.energy!r} eV over {len(ground.states)} "
               f"state(s); ground-state shot frequency: {in_ground / shots:.4f}")
     if cfg["problem"]["kind"] == "maxcut":

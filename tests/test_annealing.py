@@ -1,9 +1,12 @@
+import bisect
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy.stats
 from scipy.linalg import expm
 
 from fgqa.annealing import (
@@ -21,13 +24,15 @@ from fgqa.annealing import (
     initial_state,
     maxcut_to_ising,
     measure,
+    sample_counts,
+    state_strings,
     success_probability,
 )
 from fgqa import annealing
 from fgqa.annealing import (_BLOCK_SITES, _CHUNK_STEPS, _CYCLED_MAX_SITES, _GRAM_SITES,
-                            _ROW_GRAM_MAX_SITES, _WALSH_MAX_SITES, MAX_SITES, _blocked_kernel,
-                            _hypercube, _rotation_coefficients, _rotation_index,
-                            _state_strings, _sx_blocks, _walsh_kernel)
+                            _ROW_GRAM_MAX_SITES, _WALSH_MAX_SITES, MAX_SHOTS, MAX_SITES,
+                            _blocked_kernel, _hypercube, _rotation_coefficients,
+                            _rotation_index, _sx_blocks, _walsh_kernel)
 from fgqa.constants import CONST
 from fgqa.cells import BiasSet, CellGeometry, MaterialStack, cell_from_coupling_ratio
 from fgqa.charging import ising_parameters, reduce_network
@@ -814,20 +819,81 @@ class TestMeasure:
         assert measure(psi, 4096, seed=9) == measure(psi, 4096, seed=9)
 
     def test_matches_loop_over_all_outcomes(self, rng):
+        # an independent inversion, shot by shot, of the same uniforms
         n, shots, seed = 6, 500, 3
         psi = random_state(rng, n)
-        p = np.abs(psi) ** 2
-        counts = np.random.default_rng(seed).multinomial(shots, p / p.sum())
+        cumulative = list(itertools.accumulate(abs(a) * abs(a) for a in psi.tolist()))
+        cumulative = [c / cumulative[-1] for c in cumulative]
+        drawn = [bisect.bisect_right(cumulative, u)
+                 for u in np.random.default_rng(seed).random(shots).tolist()]
         # each bitstring built on its own, site i at character i
-        expected = {"".join("1" if (idx >> i) & 1 else "0" for i in range(n)): int(c)
-                    for idx, c in enumerate(counts) if c > 0}
+        expected = {"".join("1" if (idx >> i) & 1 else "0" for i in range(n)): drawn.count(idx)
+                    for idx in sorted(set(drawn))}
         hist = measure(psi, shots, seed)
         assert hist == expected
         assert list(hist) == list(expected)
 
+    def test_counts_fit_the_probabilities(self, rng):
+        # chi-square over all 64 outcomes, at a fixed seed; the state is not
+        # normalized, which the draw must do itself
+        n, shots = 6, 200_000
+        psi = 5.0 * random_state(rng, n)
+        outcomes, counts = sample_counts(psi, shots, seed=4)
+        observed = np.zeros(2**n)
+        observed[outcomes] = counts
+        expected = np.abs(psi) ** 2
+        expected *= shots / expected.sum()
+        assert scipy.stats.chisquare(observed, expected).pvalue > 1e-3
+
+    def test_arrays_are_the_dict(self, rng):
+        psi = random_state(rng, 5)
+        outcomes, counts = sample_counts(psi, 300, seed=8)
+        assert np.all(np.diff(outcomes) > 0) and counts.sum() == 300 and np.all(counts > 0)
+        assert measure(psi, 300, seed=8) == dict(zip(state_strings(5, outcomes).tolist(),
+                                                     counts.tolist()))
+
+    @pytest.mark.parametrize("zeros", [[0], [15], [0, 15], [5, 6, 7], [0, 1, 7, 8, 14, 15]],
+                             ids=["first", "last", "both-ends", "middle", "ends-and-middle"])
+    def test_zero_amplitudes_are_never_drawn(self, rng, zeros):
+        psi = random_state(rng, 4)
+        psi[zeros] = 0.0
+        for seed in range(5):
+            outcomes, _ = sample_counts(psi, 20_000, seed)
+            assert not set(outcomes.tolist()) & set(zeros)
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, -math.inf, complex(math.nan, 1.0),
+                                     complex(0.0, math.inf), 1e200],
+                             ids=["all-zero", "nan", "inf", "-inf", "complex-nan",
+                                  "complex-inf", "overflowing"])
+    def test_rejects_state_without_finite_positive_norm(self, bad):
+        # raised before any numpy warning, which the test settings make an error
+        psi = np.zeros(8, dtype=complex) if bad == 0.0 else initial_state(3).astype(complex)
+        psi[3] = bad
+        with pytest.raises(ValueError, match="state norm"):
+            measure(psi, 16, seed=0)
+
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
             measure(initial_state(2), 0, seed=0)
+
+    def test_rejects_shots_beyond_cap(self):
+        with pytest.raises(ValueError, match="shot count"):
+            sample_counts(initial_state(2), MAX_SHOTS + 1, seed=0)
+
+    def test_peak_memory_at_18_sites(self, rng):
+        # the CDF is the one state-size float array; the shots' uniforms and
+        # indices are small beside it
+        n = 18
+        psi = random_state(rng, n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sample_counts(psi, 4096, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * (8 << n)
 
 
 class TestBruteForce:
@@ -1017,8 +1083,14 @@ class TestAdiabaticTrend:
 def test_state_strings_round_trip():
     n = 6
     indices = np.array([0, 1, 5, 37, 63])
-    strings = _state_strings(n, indices)
+    strings = state_strings(n, indices)
     assert [len(s) for s in strings] == [n] * len(indices)
+    assert [int(s[::-1], 2) for s in strings] == indices.tolist()
+
+
+def test_state_strings_read_every_byte_of_the_index():
+    indices = np.array([0, 255, 256, 65537, (1 << MAX_SITES) - 1, 1 << (MAX_SITES - 1)])
+    strings = state_strings(MAX_SITES, indices).tolist()
     assert [int(s[::-1], 2) for s in strings] == indices.tolist()
 
 

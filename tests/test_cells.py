@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fgqa.cells import (
     BiasSet,
@@ -75,6 +75,7 @@ class TestBuildNetwork:
                      "c_source", "c_drain"):
             np.testing.assert_array_equal(getattr(self.net, name), getattr(other, name))
 
+    @settings(derandomize=True, database=None, deadline=None)
     @given(scale=st.floats(0.1, 10.0))
     def test_area_scaling(self, scale):
         # plate capacitances scale with W (plate area) at fixed gaps
@@ -88,6 +89,7 @@ class TestBuildNetwork:
             np.testing.assert_allclose(getattr(net, name), scale * getattr(ref, name),
                                        rtol=1e-12)
 
+    @settings(derandomize=True, database=None, deadline=None)
     @given(scale=st.floats(0.1, 10.0))
     def test_gap_scaling(self, scale):
         ref = build_network(CellGeometry(length=10.0, width=10.0, height=100.0,

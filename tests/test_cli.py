@@ -23,6 +23,7 @@ from fgqa.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, _write_csv, emit_confi
                       parse_config)
 from fgqa.constants import CONST, convert
 from fgqa.decoherence import PhononEnvironment, p_coherent, p_incoherent
+from test_golden import CASES as GOLDEN
 
 
 def write_config(tmp_path, name, cfg):
@@ -351,6 +352,13 @@ ANNEAL_CFG = {
     "shots": 2048,
 }
 
+# config and arguments of runs whose histogram is ranked; at seed 14 the
+# zero-field MAX-CUT run draws its two cuts, equal in probability, 1017
+# times each
+RANKED_RUNS = {"anneal-fg_grid": GOLDEN["anneal-fg_grid"][1:],
+               "anneal-chain": GOLDEN["anneal-chain"][1:],
+               "maxcut-tie": (ANNEAL_CFG, ["--seed", "14"])}
+
 
 class TestAnneal:
     def test_four_cycle_reports_full_cut(self, tmp_path, capsys):
@@ -411,6 +419,17 @@ class TestAnneal:
             stdout.append(capsys.readouterr().out)
         assert recorded == [0, ANNEAL_CFG["schedule"]["steps"] // 200]
         assert stdout[0] == stdout[1]
+
+    @pytest.mark.parametrize("run", RANKED_RUNS)
+    def test_stdout_state_is_first_histogram_row(self, tmp_path, capsys, run):
+        cfg, extra = RANKED_RUNS[run]
+        assert main(["anneal", "--config", write_config(tmp_path, "c.json", cfg),
+                     "--out", str(tmp_path / "run"), *extra]) == EXIT_OK
+        best = re.search(r"most frequent state: ([01]+)  \((\d+)/", capsys.readouterr().out)
+        _, rows = read_rows(tmp_path / "run_histogram.csv")
+        assert [best[1], best[2]] == rows[0][:2]
+        if run == "maxcut-tie":
+            assert rows[1][1] == rows[0][1]
 
     def test_fixed_seed_is_byte_identical(self, tmp_path, capsys):
         path = write_config(tmp_path, "c.json", ANNEAL_CFG)
@@ -691,9 +710,11 @@ PARABOLA_CFG = {"schema_version": 1, "parameter": "V_CG1-parabola",
      "physics error: Unable to allocate"),
     ("anneal", dict(ANNEAL_CFG, shots=10**30), EXIT_CONFIG,
      "config error: config.shots must be "),
+    ("anneal", dict(ANNEAL_CFG, shots=annealing.MAX_SHOTS + 1), EXIT_CONFIG,
+     "config error: config.shots must be "),
 ], ids=["sound-speed-tiny", "density-tiny", "sound-speed-huge", "gamma-huge", "v_sub-huge",
         "steps-beyond-memory", "points-beyond-memory", "time-points-beyond-memory",
-        "shots-beyond-int64"])
+        "shots-beyond-int64", "shots-beyond-cap"])
 def test_extreme_valid_typed_value_exits_without_traceback(tmp_path, capsys, command, cfg,
                                                            code, error):
     # each is rejected before any output; a count beyond memory fails its first allocation

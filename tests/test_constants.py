@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fgqa.constants import CONST, convert, fermi_energy
 
@@ -33,6 +33,7 @@ def test_round_trip(src, dst):
     assert back == pytest.approx(x, rel=1e-12)
 
 
+@settings(derandomize=True, database=None, deadline=None)
 @given(a=st.floats(-1e6, 1e6), b=st.floats(-1e6, 1e6),
        src=st.sampled_from(UNITS), dst=st.sampled_from(UNITS))
 def test_conversion_is_linear(a, b, src, dst):
@@ -74,6 +75,7 @@ def test_fermi_energy_density_scaling():
     assert fermi_energy(8e20, 0.19) == pytest.approx(4.0 * base, rel=1e-12)
 
 
+@settings(derandomize=True, database=None, deadline=None)
 @given(n=st.floats(1e16, 1e22), factor=st.floats(1.01, 100.0))
 def test_fermi_energy_monotonic(n, factor):
     assert fermi_energy(n * factor, 0.19) > fermi_energy(n, 0.19)
