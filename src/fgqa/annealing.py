@@ -34,16 +34,16 @@ us, 16 1144 / 783 us, and in the sector of N = 16 and 18 (15 and 17 sites)
 Time is in hbar/eV by default ("natural"); with ``time_unit="seconds"``
 the accumulated phases pick up the hbar/eV scale factor.
 
-A run whose fields are all exactly zero, from the transverse ground state
-(no initial state given), is carried in its spin-flip sector: the half of
-the state whose top site is clear, stepped on N - 1 sites, the top site's
-rotation shifting the Walsh levels or riding on the top block's matmul (see
-:func:`evolve`).  That covers MAX-CUT problems and device grids at n_g = 0,
-at N <= 6 and N >= 11; between, the cycled layout steps the full state as
-fast.  Per step, full state against sector (fastest of 9-25 in turn):
-N = 16 768 / 414 us, N = 18 4.30 / 2.65 ms; at N = 10, which keeps the full
-state, 8.6 / 8.6 us.  Such a run at N = 24 steps a 128 MB half state: a
-3-step ``fgqa anneal`` of a 24-site MAX-CUT graph peaked at 822 MB resident.
+Zero-field runs of 12 sites and more (every field exactly zero), from the
+transverse ground state (no initial state given), are carried in their
+spin-flip sector: the half of the state whose top site is clear, stepped in
+place on N - 1 sites, the top site's rotation riding on the top block's
+matmul (see :func:`evolve`).  That covers MAX-CUT problems and device grids
+at n_g = 0; smaller runs step the full state, where a step costs mostly its
+numpy calls.  Per step, full state against sector (fastest of 9-25 in
+turn): N = 16 768 / 414 us, N = 18 4.30 / 2.65 ms.  Such a run at N = 24
+steps a 128 MB half state: a 3-step ``fgqa anneal`` of a 24-site MAX-CUT
+graph peaked at 822 MB resident.
 
 The positive-coupling convention favours anti-aligned neighbours, which
 is what makes MAX-CUT the native problem: cutting an edge of weight w
@@ -119,6 +119,8 @@ class IsingModel:
         h = np.array(self.h, dtype=float)
         if h.shape != (self.n_sites,):
             raise ValueError(f"h must have shape ({self.n_sites},), got {h.shape}")
+        if not np.isfinite(h).all():
+            raise ValueError("fields must be finite")
         h.flags.writeable = False
         object.__setattr__(self, "h", h)
         seen = set()
@@ -157,10 +159,10 @@ class Schedule:
     time_unit: str = "natural"      # "natural" (hbar/eV) or "seconds"
 
     def __post_init__(self):
-        if self.delta0 < 0.0:
-            raise ValueError("initial transverse field must be non-negative")
-        if self.t_total <= 0.0:
-            raise ValueError("total time must be positive")
+        if not 0.0 <= self.delta0 < math.inf:
+            raise ValueError("initial transverse field must be non-negative and finite")
+        if not 0.0 < self.t_total < math.inf:
+            raise ValueError("total time must be positive and finite")
         if self.steps < 1:
             raise ValueError("step count must be at least 1")
         if self.profile not in ("linear", "exponential"):
@@ -321,12 +323,18 @@ def _initial_amplitudes(n: int, sites: int, out: np.ndarray | None = None) -> np
     return psi
 
 
+def _checked_state(model: IsingModel, psi) -> np.ndarray:
+    """``psi`` as an array, which must have the model's 2^n amplitudes."""
+    psi = np.asarray(psi)
+    if psi.shape != (1 << model.n_sites,):
+        raise ValueError(f"state must have shape ({1 << model.n_sites},), got {psi.shape}")
+    return psi
+
+
 def apply_hamiltonian(model: IsingModel, delta: float, psi: np.ndarray) -> np.ndarray:
     """Matrix-free H psi for the Hamiltonian at transverse field ``delta``."""
     n = model.n_sites
-    psi = np.asarray(psi)
-    if psi.shape != (1 << n,):
-        raise ValueError(f"state must have shape ({1 << n},), got {psi.shape}")
+    psi = _checked_state(model, psi)
     out = model.diagonal * psi
     if delta != 0.0:
         arr = psi.reshape((2,) * n)
@@ -346,7 +354,7 @@ _CHUNK_STEPS = 256
 
 
 def _walsh_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: np.ndarray,
-                  psi: np.ndarray | None, flip: int = 0):
+                  psi: np.ndarray | None):
     """Stepper carrying the state in the Walsh-Hadamard basis.
 
     With H[r, c] = (-1)^popcount(r & c) / sqrt(2^n), exp(-i theta sum_i sx_i)
@@ -362,15 +370,9 @@ def _walsh_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: np.
     from H phi times ``half_phase``, so records change no bit of the run.  A
     record reads the sx terms as the Walsh spectrum of that state times the
     levels of D.  ``psi`` and ``half_phase`` become the stepper's own arrays.
-
-    With ``flip`` = +-1, ``psi`` is the spin-flip sector's half state (see
-    :func:`evolve`), and each rotation also turns one more site whose sx acts
-    on it as ``flip`` times the reversal psi[::-1].  That reversal is the sign
-    (-1)^popcount(s) in the Walsh basis, so it only shifts the levels of D;
-    ``state()`` is then the full state (psi, flip psi[::-1]).
     """
     if psi is None:
-        psi = _initial_amplitudes(n + bool(flip), n)
+        psi = initial_state(n)
     dim = 1 << n
     index = np.arange(dim)
     signs = np.where(np.bitwise_count(index[:, None] & index) & 1, -1.0, 1.0)
@@ -379,7 +381,7 @@ def _walsh_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: np.
     # the norm by an ulp on every step
     mixer = (signs @ phase / dim)[index[:, None] ^ index]
     counts = np.bitwise_count(index)
-    levels = n - 2.0 * np.arange(n + 1) + flip * (-1.0) ** np.arange(n + 1)
+    levels = n - 2.0 * np.arange(n + 1)
     # each mixer product writes into the other of two buffers
     phi, spare = walsh @ np.divide(psi, half_phase, out=psi), psi
     position, rotations = 0, None
@@ -404,12 +406,10 @@ def _walsh_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: np.
         terms *= diag[:, None]
         spectrum = np.square((walsh @ chi).view(np.float64)).reshape(-1, 2)
         spectrum *= levels[counts][:, None]
-        energy = terms.sum() + delta * spectrum.sum()
-        return float(2.0 * energy if flip else energy)
+        return float(terms.sum() + delta * spectrum.sum())
 
     def state() -> np.ndarray:
-        chi = walsh @ phi * half_phase
-        return np.concatenate((chi, flip * chi[::-1])) if flip else chi
+        return walsh @ phi * half_phase
 
     return advance, energy, state
 
@@ -501,15 +501,16 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
     a few numpy calls per table, not per step.
 
     Returns the stepper as :func:`_walsh_kernel` does.  With ``flip`` = +-1,
-    ``psi`` is the spin-flip sector's half state (see :func:`evolve`; two
-    blocks at least), and each step also turns the sector's top site: cos
-    theta psi - i flip sin theta psi[::-1], in the gauge cos theta psi'_s +
-    sin theta u (-1)^popcount(s) psi'_~s with u = -i^(1-n) flip.  It commutes
-    with every block, so the top block goes first and takes it along: one pass
-    writes y = u (-1)^popcount(bits below the block) psi'[::-1] under the
-    state, and the block's matmul reads both with the matrix [cos theta M, sin
-    theta M diag((-1)^popcount(block bits))].  ``state()`` is then the full
-    state (psi, flip psi[::-1]).
+    ``psi`` is the spin-flip sector's half state on more than
+    ``_CYCLED_MAX_SITES`` sites, stepped in place (see :func:`evolve`), and
+    each step also turns the sector's top site: cos theta psi - i flip sin
+    theta psi[::-1], in the gauge cos theta psi'_s + sin theta u
+    (-1)^popcount(s) psi'_~s with u = -i^(1-n) flip.  It commutes with every
+    block, so the top block goes first and takes it along: one pass writes y
+    = u (-1)^popcount(bits below the block) psi'[::-1] under the state, and
+    the block's matmul reads both with the matrix [cos theta M, sin theta M
+    diag((-1)^popcount(block bits))].  ``state()`` is then the full state
+    (psi, flip psi[::-1]).
 
     The stepper holds psi' / closing, the state with its closing half phase
     divided out, where closing = half_phase (-i)^popcount(s) takes the gauge
@@ -551,7 +552,7 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
     if not flip:
         # each matmul writes into the other of two state-size buffers
         if psi is None:
-            psi = _initial_amplitudes(n, n)
+            psi = initial_state(n)
         buffers = (psi, np.empty_like(psi))
         start = len(blocks) & 1
         route = [(start ^ (i & 1), 1 - (start ^ (i & 1))) for i in range(len(blocks))]
@@ -581,20 +582,13 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
         # the matrices [cos theta M, sin theta M S] along the axis it contracts
         top = blocks[0][0]
         base = tables[top, False]
-        axis = 1 if cycled else 2
-        stacked = np.empty((*base.shape[:axis], 2 << top, *base.shape[axis + 1:]))
+        stacked = np.empty((steps, 1 << top, 2 << top))
         pair = stack[:2].view(np.float64).reshape(2 << top, -1)
-        plan[0] = ((pair.T, plan[0][1], stacked, False) if cycled
-                   else (pair, flat[2].reshape(1 << top, -1), stacked, True))
-        cos_half, sin_half = np.split(stacked, 2, axis=axis)
-        block_signs = ((-1.0) ** np.bitwise_count(np.arange(1 << top))).reshape(
-            (1, -1, 1) if cycled else (1, 1, -1))
-        # y's signs; cycled, repeated over the block's bits, as a 1-D product
-        # costs less there (2.3 -> 1.8 us at n = 10)
+        plan[0] = (pair, flat[2].reshape(1 << top, -1), stacked, True)
+        cos_half, sin_half = np.split(stacked, 2, axis=2)
+        block_signs = (-1.0) ** np.bitwise_count(np.arange(1 << top))
         low_signs = -flip * powers[(n - 1) % 4] * (-1.0) ** np.bitwise_count(
             np.arange(1 << (n - top)))
-        if cycled:
-            low_signs = np.tile(low_signs, 1 << top)
         mirror = buffers[0][::-1].reshape(-1, low_signs.shape[0])
         y = buffers[1].reshape(-1, low_signs.shape[0])
 
@@ -695,19 +689,13 @@ def evolve(model: IsingModel, schedule: Schedule, psi0: np.ndarray | None = None
     Bukov, SciPost Phys. 2, 003 (2017)).  There the top site's rotation is cos theta psi -
     i p sin theta psi[::-1], which commutes with the other sites'; the
     diagonal is the first half of the full one, as E(~s) = E(s).  The full
-    state is rebuilt at the end as (psi, p psi[::-1]).  The sizes whose full
-    state the cycled layout steps (``_WALSH_MAX_SITES`` < n <=
-    ``_CYCLED_MAX_SITES``) keep the full state: there it costs about what its
-    half does.
+    state is rebuilt at the end as (psi, p psi[::-1]).  Only runs of 12 sites
+    and more take the sector, whose half the blocked stepper steps in place;
+    below, a step costs mostly its numpy calls, so the full state is stepped.
     """
     n = model.n_sites
-    # evolve per run, sector against full state (zero-field chains, 4000 steps,
-    # a record per 20, one BLAS thread on a two-core Xeon, fastest of 41 in
-    # turn): n = 3-6 0.94 / 0.94 / 0.89 / 0.68, 7-10 0.99 / 1.40 / 1.01 / 1.05,
-    # 11-13 0.78 / 0.81 / 0.78.  Cycled, a step costs mostly its numpy calls,
-    # and the sector adds one
     flip = 0
-    if psi0 is None and not np.any(model.h) and not _WALSH_MAX_SITES < n <= _CYCLED_MAX_SITES:
+    if psi0 is None and not np.any(model.h) and n - 1 > _CYCLED_MAX_SITES:
         flip = (-1) ** n
     sites = n - bool(flip)
     psi = None      # the stepper writes the initial state into its own buffer
@@ -715,9 +703,10 @@ def evolve(model: IsingModel, schedule: Schedule, psi0: np.ndarray | None = None
         psi = np.array(psi0, dtype=np.complex128)
         if psi.shape != (1 << n,):
             raise ValueError(f"initial state must have shape ({1 << n},)")
-        norm = np.linalg.norm(psi)
-        if norm == 0.0:
-            raise ValueError("initial state must be non-zero")
+        with np.errstate(over="ignore"):        # an overflow reads as an infinite norm
+            norm = np.linalg.norm(psi)
+        if not 0.0 < norm < math.inf:           # false for NaN too
+            raise ValueError(f"initial state must be non-zero and finite, got norm {norm!r}")
         psi /= norm
     steps = schedule.steps
     scale = schedule.phase_scale
@@ -727,8 +716,10 @@ def evolve(model: IsingModel, schedule: Schedule, psi0: np.ndarray | None = None
     # the adjacent half-phases of consecutive steps merge into one
     full_phase = half_phase * half_phase
     thetas = schedule.delta_at((np.arange(steps) + 0.5) * dt) * dt * scale
-    kernel = _walsh_kernel if sites <= _WALSH_MAX_SITES else _blocked_kernel
-    advance, energy, state = kernel(sites, full_phase, half_phase, thetas, psi, flip)
+    if sites <= _WALSH_MAX_SITES:
+        advance, energy, state = _walsh_kernel(sites, full_phase, half_phase, thetas, psi)
+    else:
+        advance, energy, state = _blocked_kernel(sites, full_phase, half_phase, thetas, psi, flip)
     stops = [0, *range(record_every, steps, record_every), steps] if record_every > 0 else []
     times = [stop * dt for stop in stops]
     deltas = [schedule.delta_at(t) for t in times]
@@ -817,7 +808,7 @@ def success_probability(model: IsingModel, psi: np.ndarray) -> float:
     """Total |amplitude|^2 carried by the exact ground-state set, found
     in ``model.diagonal`` as by :func:`brute_force_ground_state`."""
     _check_brute_force(model)
-    p = np.abs(np.asarray(psi)[_minimisers(model.diagonal)[1]]) ** 2
+    p = np.abs(_checked_state(model, psi)[_minimisers(model.diagonal)[1]]) ** 2
     return float(sum(p))
 
 

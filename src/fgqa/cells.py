@@ -31,6 +31,7 @@ points on the trailing axes, so one network holds a whole sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,12 +109,12 @@ class MaterialStack:
     def __post_init__(self):
         if self.eps_gate is None:
             object.__setattr__(self, "eps_gate", self.eps_ox)
-        if self.eps_ox <= 0.0 or self.eps_gate <= 0.0:
-            raise ValueError("dielectric constants must be positive")
-        if self.barrier_ev <= 0.0:
-            raise ValueError("barrier height must be positive")
-        if self.m_ox <= 0.0 or self.m_si <= 0.0 or self.doping_cm3 <= 0.0:
-            raise ValueError("masses and doping must be positive")
+        if not all(0.0 < v < math.inf for v in (self.eps_ox, self.eps_gate)):
+            raise ValueError("dielectric constants must be positive and finite")
+        if not 0.0 < self.barrier_ev < math.inf:
+            raise ValueError("barrier height must be positive and finite")
+        if not all(0.0 < v < math.inf for v in (self.m_ox, self.m_si, self.doping_cm3)):
+            raise ValueError("masses and doping must be positive and finite")
 
 
 @dataclass(frozen=True)

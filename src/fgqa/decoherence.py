@@ -72,12 +72,13 @@ class PhononEnvironment:
     alpha: float = 7.05e-9             # dimensionless ohmic strength
 
     def __post_init__(self):
-        if self.coupling_ev <= 0.0 or self.sound_speed <= 0.0 or self.density <= 0.0:
-            raise ValueError("coupling, sound speed and density must be positive")
-        if self.debye_temperature <= 0.0:
-            raise ValueError("Debye temperature must be positive")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        if not all(0.0 < v < math.inf
+                   for v in (self.coupling_ev, self.sound_speed, self.density)):
+            raise ValueError("coupling, sound speed and density must be positive and finite")
+        if not 0.0 < self.debye_temperature < math.inf:
+            raise ValueError("Debye temperature must be positive and finite")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
 
     @property
     def coupling_j(self) -> float:

@@ -63,12 +63,12 @@ class TunnelBarrier:
     doping_cm3: float = MaterialStack.doping_cm3    # FG carrier density, cm^-3
 
     def __post_init__(self):
-        if np.any(np.less_equal(self.d_ox, 0.0)):
-            raise ValueError("oxide thickness must be positive")
-        if self.barrier_ev <= 0.0 or self.m_ox <= 0.0 or self.m_si <= 0.0:
-            raise ValueError("barrier height and masses must be positive")
-        if self.doping_cm3 <= 0.0:
-            raise ValueError("doping must be positive")
+        if not np.all(np.greater(self.d_ox, 0.0) & np.isfinite(self.d_ox)):
+            raise ValueError("oxide thickness must be positive and finite")
+        if not all(0.0 < v < math.inf for v in (self.barrier_ev, self.m_ox, self.m_si)):
+            raise ValueError("barrier height and masses must be positive and finite")
+        if not 0.0 < self.doping_cm3 < math.inf:
+            raise ValueError("doping must be positive and finite")
 
     @classmethod
     def from_stack(cls, geom: CellGeometry, mat: MaterialStack, **overrides) -> "TunnelBarrier":

@@ -211,9 +211,11 @@ class TestTransverseRotation:
         high = np.vdot(rows @ rows.T, _hypercube(n - _GRAM_SITES))
         assert high == pytest.approx(sum(sx[_GRAM_SITES:]), rel=1e-13, abs=1e-15)
 
-    # both sides of _ROW_GRAM_MAX_SITES, in the full state and in the sector
-    @pytest.mark.parametrize("flip", (0, 1, -1))
-    @pytest.mark.parametrize("n", (7, _ROW_GRAM_MAX_SITES, _ROW_GRAM_MAX_SITES + 1, 14))
+    # both sides of _ROW_GRAM_MAX_SITES in the full state, and the sector,
+    # which is stepped only above _CYCLED_MAX_SITES
+    @pytest.mark.parametrize("n, flip", [
+        *((n, 0) for n in (7, _ROW_GRAM_MAX_SITES, _ROW_GRAM_MAX_SITES + 1, 14)),
+        *((n, flip) for n in (_CYCLED_MAX_SITES + 1, 14) for flip in (1, -1))])
     def test_record_reads_every_sx_term(self, rng, n, flip):
         # with no Ising term a record is sum_i <sx_i>, here per site from the
         # gauge state; with flip, over the n + 1 sites of the full state
@@ -333,8 +335,8 @@ class TestStepKernels:
         expected = np.vdot(res.psi, apply_hamiltonian(model, res.deltas[-1], res.psi)).real
         assert abs(res.energies[-1] - expected) <= 1e-12 * max(1.0, abs(expected))
 
-    # Walsh, cycled, in place, with fields and without: the zero-field chains
-    # take the spin-flip sector at 3, 6, 11 and 16 sites; 100 cuts a 256-step chunk
+    # Walsh, cycled, in place, with fields and without: the zero-field chain
+    # takes the spin-flip sector at 16 sites; 100 cuts a 256-step chunk
     @pytest.mark.parametrize("n", (3, 6, 7, 10, 11, 16))
     def test_every_recorded_energy(self, rng, n):
         steps = 300 if n < 16 else 30
@@ -443,36 +445,18 @@ def zero_field_model(rng, family, shape):
 
 def sector_schedule(model):
     """A few rotation units from a strong transverse field: past the first
-    256-step table where the sector is cycled (up to 11 sites), 30 steps above."""
+    256-step table up to 11 sites, where the full state is stepped, and 30
+    steps in the sector above."""
     steps = 300 if model.n_sites <= _CYCLED_MAX_SITES + 1 else 30
     scale = transverse_scale(model) or 1.0      # a lone site has no coupling
     return Schedule(delta0=2.0 * scale, t_total=0.05 * steps / scale, steps=steps,
                     profile="exponential")
 
 
-def forced_sector(model, sched, record_every=0):
-    """:func:`evolve`'s loop in the spin-flip sector at any size: the final
-    state and the recorded energies, stepped on n - 1 sites."""
-    n, steps = model.n_sites, sched.steps
-    dt = sched.t_total / steps
-    diag = diagonal_energies(model)[:2 ** (n - 1)]
-    half = np.exp(-0.5j * diag * dt)
-    thetas = sched.delta_at((np.arange(steps) + 0.5) * dt) * dt
-    kernel = _walsh_kernel if n - 1 <= _WALSH_MAX_SITES else _blocked_kernel
-    advance, energy, state = kernel(n - 1, half * half, half, thetas,
-                                    initial_state(n)[:2 ** (n - 1)], (-1) ** n)
-    energies = []
-    for stop in [0, *range(record_every, steps, record_every), steps] if record_every else []:
-        advance(stop)
-        energies.append(energy(diag, sched.delta_at(stop * dt)))
-    advance(steps)
-    return state(), np.array(energies)
-
-
 # (rows, cols) of every family's models: chains and MAX-CUT graphs at every
 # size from 2 to 16 (chains from 1), grids and fg_grids from 1 x 2 to 4 x 4,
-# each with 7, 8, 11 and 12 sites, where n - 1 crosses _WALSH_MAX_SITES and
-# _CYCLED_MAX_SITES
+# each with 7 and 8 sites, past _WALSH_MAX_SITES, and 11 and 12, on both
+# sides of where the sector begins
 SECTOR_SHAPES = {
     "chain": [(1, n) for n in range(1, 17)],
     "maxcut": [(1, n) for n in range(2, 17)],
@@ -483,8 +467,8 @@ SECTOR_SHAPES = {
 
 
 class TestSpinFlipSector:
-    """Zero-field runs from the transverse ground state, carried as the half
-    of the state whose top site is clear."""
+    """Zero-field runs from the transverse ground state: from 12 sites on,
+    carried as the half of the state whose top site is clear."""
 
     @pytest.mark.parametrize("family, shape", [
         pytest.param(f, s, id=f"{f}-{s[0]}x{s[1]}") for f, shapes in SECTOR_SHAPES.items()
@@ -504,32 +488,17 @@ class TestSpinFlipSector:
             scale = np.abs(ref.energies).max()
             np.testing.assert_allclose(res.energies, ref.energies, rtol=0, atol=1e-13 * scale)
 
-    # the sizes that evolve steps in the full state: the Walsh stepper on
-    # 6 sites and the cycled layout below _CYCLED_MAX_SITES take the sector too
-    @pytest.mark.parametrize("n", range(_WALSH_MAX_SITES + 1, _CYCLED_MAX_SITES + 1))
-    def test_steppers_match_full_space_where_evolve_keeps_it(self, rng, n):
-        model = zero_field_model(rng, "maxcut", (1, n))
-        twin = full_space_twin(model)
-        sched = sector_schedule(model)
-        unrecorded, _ = forced_sector(model, sched)
-        for record_every in (1, 7, 100):
-            psi, energies = forced_sector(model, sched, record_every)
-            ref = evolve(twin, sched, record_every=record_every)
-            np.testing.assert_array_equal(psi, unrecorded)
-            np.testing.assert_allclose(psi, ref.psi, rtol=0, atol=1e-13)
-            scale = np.abs(ref.energies).max()
-            np.testing.assert_allclose(energies, ref.energies, rtol=0, atol=1e-13 * scale)
-
-    @pytest.mark.parametrize("n, sector", [(2, True), (6, True), (7, False), (10, False),
-                                           (11, True), (13, True)])
+    @pytest.mark.parametrize("n, sector", [(2, False), (6, False), (7, False), (10, False),
+                                           (11, False), (12, True), (13, True)])
     def test_which_runs_take_the_sector(self, rng, monkeypatch, n, sector):
-        # the stepper's site count and flip sign for a zero-field run, the
-        # same model given its initial state, and one with a field
+        # the stepper's site count and, blocked, its flip sign for a
+        # zero-field run, the same model given its initial state, and one
+        # with a field
         calls = []
         for name in ("_walsh_kernel", "_blocked_kernel"):
             kernel = getattr(annealing, name)
             monkeypatch.setattr(annealing, name, lambda *args, kernel=kernel: (
-                calls.append((args[0], args[-1])) or kernel(*args)))
+                calls.append((args[0], *args[5:])) or kernel(*args)))
         model = chain_model(np.zeros(n), rng.normal(size=n - 1))
         sched = Schedule(delta0=2.0, t_total=1.0, steps=3)
         evolve(model, sched)
@@ -537,9 +506,10 @@ class TestSpinFlipSector:
         h = np.zeros(n)
         h[-1] = 1e-300
         evolve(chain_model(h, [w for _, _, w in model.couplings]), sched)
-        assert calls == [(n - 1, (-1) ** n) if sector else (n, 0), (n, 0), (n, 0)]
+        full = (n,) if n <= _WALSH_MAX_SITES else (n, 0)
+        assert calls == [(n - 1, (-1) ** n) if sector else full, full, full]
 
-    @pytest.mark.parametrize("m", range(4, 14))
+    @pytest.mark.parametrize("m", range(_CYCLED_MAX_SITES + 1, 14))
     def test_top_site_rotation_in_the_gauge(self, rng, m):
         # psi'_new(s) = cos theta psi'(s) - i^(1-m) p sin theta (-1)^popcount(s) psi'(~s)
         # on the half state of m sites, p = (-1)^(m+1)
@@ -605,6 +575,11 @@ class TestIsingModel:
         model = chain_model(rng.normal(size=4), rng.normal(size=3))
         with pytest.raises(ValueError):
             getattr(model, name)[0] = 1.0
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_rejects_non_finite_fields(self, bad):
+        with pytest.raises(ValueError, match="fields must be finite"):
+            IsingModel(2, [bad, 0.0], ((0, 1, 1.0),))
 
     def test_one_table_per_model(self, rng, monkeypatch):
         built = []
@@ -717,6 +692,12 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Schedule(delta0=1.0, t_total=1.0, steps=10, floor_ratio=1e-3)
 
+    @pytest.mark.parametrize("field", ("delta0", "t_total"))
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_rejects_non_finite_parameters(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Schedule(**{"delta0": 1.0, "t_total": 1.0, "steps": 10, field: bad})
+
 
 class TestEvolve:
     def test_diagonal_evolution_preserves_distribution(self, rng):
@@ -769,6 +750,19 @@ class TestEvolve:
         # energy must end near the reached diagonal value
         assert np.isfinite(res.energies).all()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf), 0.0, 1e200],
+                             ids=["nan", "inf", "complex-inf", "all-zero", "overflowing"])
+    def test_rejects_initial_state_without_finite_positive_norm(self, bad):
+        # one bad amplitude, or every amplitude where one alone is harmless
+        psi0 = initial_state(3)
+        if math.isfinite(abs(bad)):
+            psi0[:] = bad
+        else:
+            psi0[5] = bad
+        with pytest.raises(ValueError, match="initial state must be non-zero and finite"):
+            evolve(chain_model(np.zeros(3), 1.0), Schedule(delta0=1.0, t_total=1.0, steps=4),
+                   psi0=psi0)
+
     def test_final_trace_energy_is_final_expectation(self):
         model = random_chain(4)
         sched = Schedule(delta0=2.0, t_total=10.0, steps=100, profile="exponential")
@@ -795,6 +789,11 @@ class TestSuccessProbability:
             psi = random_state(rng, n)
             expected = self.by_bitstrings(model, psi)
             assert success_probability(model, psi) == expected
+
+    @pytest.mark.parametrize("size", (2, 8))
+    def test_rejects_state_of_another_size(self, size):
+        with pytest.raises(ValueError, match=r"state must have shape \(4,\)"):
+            success_probability(chain_model([0.0, 0.0], [1.0]), np.full(size, 0.5))
 
 
 class TestMeasure:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,6 +123,15 @@ class TestGeometryInvariants:
         kwargs[field] = 0.0
         with pytest.raises(ValueError):
             CellGeometry(**kwargs)
+
+
+class TestMaterialStack:
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    @pytest.mark.parametrize("field", ["eps_ox", "eps_gate", "barrier_ev", "m_ox", "m_si",
+                                       "doping_cm3"])
+    def test_rejects_non_finite_fields(self, field, bad):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            MaterialStack(**{field: bad})
 
 
 class TestSingleElectronMargin:

@@ -401,8 +401,7 @@ class TestAnneal:
         assert theader == ["t", "delta_eV", "energy_eV"]
         assert len(trows) >= 2
 
-    # the MAX-CUT problem runs in the spin-flip sector, the chain with fields
-    # in the full state
+    # a zero-field MAX-CUT problem and a chain with fields
     @pytest.mark.parametrize("problem", [
         ANNEAL_CFG["problem"],
         {"kind": "chain", "h": [0.3, -0.2, 0.1, 0.25, -0.15], "j": [0.5, -0.4, 0.6, 0.3]}],

@@ -35,6 +35,15 @@ def si_quadrature(y):
     return -val
 
 
+class TestPhononEnvironment:
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    @pytest.mark.parametrize("field", ["coupling_ev", "sound_speed", "density",
+                                       "debye_temperature", "alpha"])
+    def test_rejects_non_finite_fields(self, field, bad):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            PhononEnvironment(**{field: bad})
+
+
 class TestRenormalization:
     def test_exponent_reference(self):
         assert renormalization_exponent(ENV) == pytest.approx(1323.394, rel=1e-5)

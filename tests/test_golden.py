@@ -79,7 +79,9 @@ CASES = {
 # stdouts and histograms moved, and no trace, when the shots came to be
 # drawn by inverting the CDF of |psi|^2 instead of by numpy's multinomial,
 # which reads the same final state but spends the seed's stream
-# differently.
+# differently.  The fg_grid trace moved, in 291 of 301 energies by 1.7e-18 eV
+# at most, and its histogram did not, when zero-field runs below 12 sites
+# came to step the full state instead of the spin-flip sector.
 DIGESTS = {
     "sweep-L": {
         "exit": 0,
@@ -128,7 +130,7 @@ DIGESTS = {
         "stdout": "51e9e09d3b49ae9f367bc42b13aeb194b1733418ff9668c853faaedffe3eb2ba",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out_histogram.csv": "2467414ffd41a11db3c6601d6e871a5c1949faba0d379479698aed75c435733a",
-        "out_trace.csv": "5b5b70b08089e8a61baa104c78a080aa6433df32e0930fa811886bed827a6d08",
+        "out_trace.csv": "c191f790c415d79b24436c4f56d6773350a28bdb45caf689b9eac110d3db75f9",
     },
     "anneal-chain": {
         "exit": 0,

@@ -57,6 +57,18 @@ class TestStackDefaults:
             asdict(TunnelBarrier.from_stack(TALL, MaterialStack()))
 
 
+class TestBarrierFields:
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    @pytest.mark.parametrize("field", ["d_ox", "barrier_ev", "m_ox", "m_si", "doping_cm3"])
+    def test_rejects_non_finite_fields(self, field, bad):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            TunnelBarrier(**{"d_ox": 3.5, field: bad})
+
+    def test_rejects_a_non_finite_thickness_among_points(self):
+        with pytest.raises(ValueError, match="oxide thickness"):
+            TunnelBarrier(d_ox=np.array([3.5, math.nan, 4.0]))
+
+
 class TestTunnelAmplitude:
     def test_thick_oxide_limit(self):
         thick = CellGeometry(length=15.0, width=15.0, height=100.0, d_ox=60.0,
