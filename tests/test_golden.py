@@ -3,11 +3,13 @@
 Each case runs one ``fgqa`` command in a fresh directory and hashes its
 stdout, its stderr, its exit code and every CSV it writes.  The cases
 cover every sweep parameter, ``derive``, a ``decohere`` whose ``delta_K``
-column repeats (one delta is listed twice) and a uniform ``fg_grid``
+column repeats (one delta is listed twice), a uniform ``fg_grid``
 anneal whose histogram holds degenerate energies and repeated
-frequencies, and a 12-site chain anneal with nonzero fields, which steps
-the full state, so any change to how a value is computed or formatted
-shows as a changed digest.
+frequencies, a 12-site chain anneal with nonzero fields, which steps
+the full state in place, a 9-site chain anneal with fields, which steps it
+in the cycled layout, and a 13-site MAX-CUT anneal, which steps the
+spin-flip sector in place, so any change to how a value is computed or
+formatted shows as a changed digest.
 
 To print the digests of the current tree (after a change that is meant
 to move the outputs), run from the repository root:
@@ -63,6 +65,22 @@ CASES = {
         "schedule": {"delta0_ev": 2.0, "t_total": 20.0, "steps": 400,
                      "profile": "exponential"},
         "shots": 2048}, ["--seed", "11"]),
+    "anneal-chain-cycled": ("anneal", {
+        "schema_version": 1,
+        "problem": {"kind": "chain",
+                    "h": [-0.2, 0.35, 0.1, -0.3, 0.25, -0.05, 0.15, -0.25, 0.3],
+                    "j": [0.4, -0.55, 0.5, 0.35, -0.45, 0.6, -0.3, 0.5]},
+        "schedule": {"delta0_ev": 1.5, "t_total": 15.0, "steps": 500,
+                     "profile": "linear"},
+        "shots": 2048}, ["--seed", "3"]),
+    "anneal-maxcut-sector": ("anneal", {
+        "schema_version": 1,
+        "problem": {"kind": "maxcut",
+                    "edges": [[i, (i + 1) % 13, 1.0 + 0.25 * (i % 3)] for i in range(13)]
+                    + [[i, (i + 5) % 13, 0.75] for i in range(0, 13, 2)]},
+        "schedule": {"delta0_ev": 1.0, "t_total": 25.0, "steps": 300,
+                     "profile": "exponential"},
+        "shots": 4096}, ["--seed", "17"]),
 }
 
 # SHA-256 of each output, recorded before the CSV writer formatted each
@@ -81,7 +99,8 @@ CASES = {
 # which reads the same final state but spends the seed's stream
 # differently.  The fg_grid trace moved, in 291 of 301 energies by 1.7e-18 eV
 # at most, and its histogram did not, when zero-field runs below 12 sites
-# came to step the full state instead of the spin-flip sector.
+# came to step the full state instead of the spin-flip sector.  The
+anneal-chain-cycled and anneal-maxcut-sector cases were recorded later.
 DIGESTS = {
     "sweep-L": {
         "exit": 0,
@@ -138,6 +157,19 @@ DIGESTS = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out_histogram.csv": "0ad9451fb0a0e89e7bba3a71db708cb08c48ca94fce2443e41aa9b66059c5462",
         "out_trace.csv": "477a38eeb9bbd4d6b23e87a119de36a43f89814b706a4694f63843459ebce0bc",
+    },    "anneal-chain-cycled": {
+        "exit": 0,
+        "stdout": "6308be4bd96c8090328774a6c0c15f39477d82110e80a1413a5bd176e19c3bab",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out_histogram.csv": "ee17d1258e97a39106cffb5d04e8b20ceb735e30cf4567aac339910335048661",
+        "out_trace.csv": "2a8f78e97e0fca2eb8901a36aaf7ffedd1a2021fe7adcad2af99f3ea52760ebb",
+    },
+    "anneal-maxcut-sector": {
+        "exit": 0,
+        "stdout": "0a70b8300fe009e193ff90d89eec80087bb2bdeb566ec9f5a95da7cab444dfb1",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out_histogram.csv": "662b9bd677a9f505f86a67f0dd891992c3a21054df2ce9cfcc56820cd4e3b44e",
+        "out_trace.csv": "79d531cff43a816e4db84e01cbef1691d112f6a202cbbb8559e98eae3d881355",
     },
 }
 
