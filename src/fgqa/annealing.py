@@ -25,8 +25,8 @@ the schedule.  One stepper, chosen by N, carries a run:
 A record and the final state multiply the held state by the closing half
 phase (in the gauge, with the gauge divided out too), a record into scratch,
 so a recorded run ends bit for bit where the unrecorded one does.
-Per step, one BLAS thread on a two-core Xeon: 1.3 us at N <= 3, 3.2 us at
-6, 3.8 us at 7, 8.7 us at 10, 0.13 ms at 14 and 0.87 ms at 16.  A blocked
+Per step, one BLAS thread on a two-core Xeon: 1.0-1.1 us at N <= 3, 2.7 us
+at 6, 2.8 us at 7, 7.7 us at 10, 0.11 ms at 14 and 0.76 ms at 16.  A blocked
 trace record, with the pairwise-broadcast reader it replaced and now
 (fastest of 100, alternating call by call): N = 10 41 / 26 us, 12 91 / 73
 us, 16 1144 / 783 us, and in the sector of N = 16 and 18 (15 and 17 sites)
@@ -43,7 +43,7 @@ at n_g = 0; smaller runs step the full state, where a step costs mostly its
 numpy calls.  Per step, full state against sector (fastest of 9-25 in
 turn): N = 16 768 / 414 us, N = 18 4.30 / 2.65 ms.  Such a run at N = 24
 steps a 128 MB half state: a 3-step ``fgqa anneal`` of a 24-site MAX-CUT
-graph peaked at 822 MB resident.
+graph peaked at 815 MB resident.
 
 The positive-coupling convention favours anti-aligned neighbours, which
 is what makes MAX-CUT the native problem: cutting an edge of weight w
@@ -280,8 +280,11 @@ def _bits_from_state(n: int, state: str) -> np.ndarray:
 def state_strings(n: int, indices: np.ndarray) -> np.ndarray:
     """Basis bitstring of each amplitude index (site i at character i), as
     a str array."""
+    indices = np.asarray(indices)
+    if indices.size and not (indices.min() >= 0 and indices.max() < 1 << n):
+        raise ValueError(f"indices must be in [0, {1 << n}) for {n} sites")
     # the low n bits of each index's little-endian bytes, read as fixed-width bytes
-    octets = np.asarray(indices, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    octets = indices.astype("<u4").view(np.uint8).reshape(-1, 4)
     chars = np.unpackbits(octets, axis=1, count=n, bitorder="little") + ord("0")
     return chars.view(f"S{n}").ravel().astype(str)
 
@@ -294,13 +297,17 @@ def diagonal_energies(model: IsingModel) -> np.ndarray:
     earlier = [[] for _ in range(model.n_sites)]
     for (i, j, w) in model.couplings:
         earlier[j].append((i, w))
-    energies = np.zeros(1)
+    energies = np.zeros(1 << model.n_sites)
+    fields = np.empty(1 << (model.n_sites - 1))     # site k's in the first 2^k entries
     for k in range(model.n_sites):
-        field = np.full(1 << k, model.h[k])
+        field = fields[:1 << k]
+        field.fill(model.h[k])
         for (i, w) in earlier[k]:
             by_bit_i = field.reshape(-1, 2, 1 << i)    # a view; axis 1 is bit i
             by_bit_i += np.array([[w], [-w]])          # spin +1 where bit i is clear
-        energies = np.concatenate((energies + field, energies - field))
+        # the table over sites 0..k-1 is its first 2^k entries
+        np.subtract(energies[:1 << k], field, out=energies[1 << k:2 << k])
+        energies[:1 << k] += field
     return energies
 
 
@@ -346,7 +353,9 @@ def apply_hamiltonian(model: IsingModel, delta: float, psi: np.ndarray) -> np.nd
 
 # Largest site count stepped by the Walsh kernel, whose step is a dense 4^n
 # matmul.  Per step (Walsh / blocked), one BLAS thread on a two-core Xeon,
-# fastest of 42 runs in turn: n = 5 2.7 / 4.3, 6 3.9 / 4.6, 7 7.3 / 3.6 us.
+# fastest of four rounds of 21 runs of 4000 steps: n = 5 1.3 / 2.0, 6 2.4 /
+# 2.2, 7 5.7 / 2.6 us.  At n = 6 the blocked stepper is the faster one; the
+# crossing stays, as moving it would change how every 6-site run rounds.
 _WALSH_MAX_SITES = 6
 
 # Steps per table of rotation coefficients (0.25 MB for the Walsh kernel).
@@ -393,7 +402,7 @@ def _walsh_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: np.
                 chunk = thetas[lo:lo + _CHUNK_STEPS]
                 rotations = np.exp(-1j * np.multiply.outer(chunk, levels))[:, counts]
             for d in rotations[max(position - lo, 0):stop - lo]:
-                np.dot(mixer, phi, out=spare)
+                mixer.dot(phi, spare)
                 phi, spare = spare, phi
                 phi *= d
         position = stop
@@ -603,6 +612,7 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
     closing *= powers[np.bitwise_count(np.arange(closing.shape[0])) % 4][:, None]
     closing *= powers[np.bitwise_count(np.arange(closing.shape[1])) % 4]
     np.divide(buffers[0], half_phase, out=buffers[0])
+    held, opened = buffers[0], buffers[start]
     position, coefficients = 0, {}
     cosines = sines = None
 
@@ -627,14 +637,14 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
                         np.multiply(base[filled], cosines[k:k + steps], out=cos_half[filled])
                         np.multiply(base[filled], sines[k:k + steps] * block_signs,
                                     out=sin_half[filled])
-                np.multiply(buffers[0], phase, out=buffers[start])
+                np.multiply(held, phase, opened)
                 if flip:
-                    np.multiply(mirror, low_signs, out=y)
+                    np.multiply(mirror, low_signs, y)
                 for state, out, table, left in plan:
                     if left:
                         np.matmul(table[row], state, out=out)
                     else:
-                        np.dot(state, table[row], out=out)
+                        state.dot(table[row], out)      # skips np.dot's dispatcher
         position = stop
 
     def energy(diag: np.ndarray, delta: float) -> float:
@@ -712,7 +722,17 @@ def evolve(model: IsingModel, schedule: Schedule, psi0: np.ndarray | None = None
     scale = schedule.phase_scale
     dt = schedule.t_total / steps
     stepped = model.diagonal[:1 << sites]
-    half_phase = np.exp(-0.5j * stepped * dt * scale)
+    # exp(-0.5j E dt scale) as cos + i sin of its angle, which the imaginary
+    # part holds until the sine overwrites it: the same bits, with no
+    # complex temporaries
+    half_phase = np.empty(stepped.shape, dtype=np.complex128)
+    angle = half_phase.imag
+    np.multiply(stepped, -0.5, out=angle)
+    angle *= dt
+    angle *= scale
+    angle += 0.0        # a zero angle is +0 in the complex product
+    np.cos(angle, out=half_phase.real)
+    np.sin(angle, out=angle)
     # the adjacent half-phases of consecutive steps merge into one
     full_phase = half_phase * half_phase
     thetas = schedule.delta_at((np.arange(steps) + 0.5) * dt) * dt * scale
@@ -745,8 +765,8 @@ def sample_counts(psi: np.ndarray, shots: int, seed: int) -> tuple[np.ndarray, n
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shot count must be in [1, {MAX_SHOTS}], got {shots}")
     psi = np.asarray(psi)
-    n = int(round(math.log2(psi.shape[0])))
-    if n < 1 or 1 << n != psi.shape[0]:
+    size = psi.shape[0] if psi.ndim == 1 else 0
+    if size < 2 or size & (size - 1):
         raise ValueError("state length must be a power of two, at least 2")
     cdf = np.abs(psi).astype(float, copy=False)
     with np.errstate(over="ignore"):        # an overflow reads as an infinite norm

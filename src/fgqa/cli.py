@@ -275,8 +275,8 @@ def _fields(column) -> list[str]:
                                 return_inverse=True)
         text = np.array(list(map(str, bits.view(float).tolist())), dtype=object)
         return text[where].tolist()                 # str of a Python float is its repr
-    if isinstance(column, np.ndarray) and column.dtype.kind in "biu":
-        return list(map(str, column.tolist()))
+    if isinstance(column, np.ndarray):
+        column = column.tolist()        # str of a numpy scalar is several times slower
     return list(map(str, column))
 
 

@@ -609,6 +609,23 @@ class TestDiagonalEnergies:
             np.testing.assert_allclose(diagonal_energies(model), expected,
                                        rtol=0, atol=1e-12 * scale)
 
+    def test_peak_memory_at_18_sites(self, rng):
+        # the table and one buffer of local fields, half a table: building
+        # the table by concatenation held three
+        n = 18
+        couplings = tuple((i, j, float(rng.normal())) for i in range(n)
+                          for j in range(i + 1, n) if rng.random() < 0.3)
+        model = IsingModel(n, rng.normal(size=n), couplings)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            diagonal_energies(model)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * (8 << n)
+
 
 class TestApplyHamiltonian:
     def test_single_site_transverse_spectrum(self):
@@ -879,6 +896,14 @@ class TestMeasure:
         with pytest.raises(ValueError, match="shot count"):
             sample_counts(initial_state(2), MAX_SHOTS + 1, seed=0)
 
+    @pytest.mark.parametrize("psi", [np.zeros(0, dtype=complex), np.full((4, 4), 0.25),
+                                     np.ones(1), np.ones(3), np.ones(6), np.float64(1.0)],
+                             ids=["empty", "2-d", "one", "three", "six", "scalar"])
+    @pytest.mark.parametrize("draw", [sample_counts, measure])
+    def test_rejects_state_that_is_not_a_power_of_two_vector(self, draw, psi):
+        with pytest.raises(ValueError, match="state length must be a power of two, at least 2"):
+            draw(psi, 16, seed=0)
+
     def test_peak_memory_at_18_sites(self, rng):
         # the CDF is the one state-size float array; the shots' uniforms and
         # indices are small beside it
@@ -1085,6 +1110,19 @@ def test_state_strings_round_trip():
     strings = state_strings(n, indices)
     assert [len(s) for s in strings] == [n] * len(indices)
     assert [int(s[::-1], 2) for s in strings] == indices.tolist()
+
+
+@pytest.mark.parametrize("indices", [[8], [-1], [0, 3, 8], [7, -8], [1 << 32]],
+                         ids=["2^n", "-1", "2^n-among-valid", "negative-among-valid", "2^32"])
+def test_state_strings_rejects_indices_outside_the_basis(indices):
+    with pytest.raises(ValueError, match=r"indices must be in \[0, 8\) for 3 sites"):
+        state_strings(3, np.array(indices))
+
+
+def test_state_strings_takes_every_basis_index():
+    assert state_strings(3, np.arange(8)).tolist() == [
+        "000", "100", "010", "110", "001", "101", "011", "111"]
+    assert state_strings(3, np.array([], dtype=int)).tolist() == []
 
 
 def test_state_strings_read_every_byte_of_the_index():

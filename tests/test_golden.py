@@ -100,7 +100,7 @@ CASES = {
 # differently.  The fg_grid trace moved, in 291 of 301 energies by 1.7e-18 eV
 # at most, and its histogram did not, when zero-field runs below 12 sites
 # came to step the full state instead of the spin-flip sector.  The
-anneal-chain-cycled and anneal-maxcut-sector cases were recorded later.
+# anneal-chain-cycled and anneal-maxcut-sector cases were recorded after that.
 DIGESTS = {
     "sweep-L": {
         "exit": 0,
@@ -157,7 +157,8 @@ DIGESTS = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out_histogram.csv": "0ad9451fb0a0e89e7bba3a71db708cb08c48ca94fce2443e41aa9b66059c5462",
         "out_trace.csv": "477a38eeb9bbd4d6b23e87a119de36a43f89814b706a4694f63843459ebce0bc",
-    },    "anneal-chain-cycled": {
+    },
+    "anneal-chain-cycled": {
         "exit": 0,
         "stdout": "6308be4bd96c8090328774a6c0c15f39477d82110e80a1413a5bd176e19c3bab",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
