@@ -12,38 +12,19 @@ part and the product of single-site transverse rotations, so every step
 is exactly unitary.  A stepper holds the state with its closing half
 phase divided out, so that every step, the first too, opens with one full
 phase P, and the rotation angles of all steps come from one array call of
-the schedule.  One stepper, chosen by N, carries a run:
+the schedule.  Up to ``_WALSH_MAX_SITES`` sites :func:`_walsh_kernel` steps
+a run in the Walsh-Hadamard basis, where sum_i sx_i is diagonal; above,
+:func:`_blocked_kernel` steps it in a gauge where each site block's rotation
+is one real matmul.  Either way a step is one row of a short table of calls
+prebound to the stepper's fixed buffers (:func:`_advance`), and a recorded
+run ends bit for bit where the unrecorded one does.  Measured per-step
+times are in ``BENCH_31.json``.  Time is in hbar/eV by default
+("natural"); with ``time_unit="seconds"`` the accumulated phases pick up
+the hbar/eV scale factor.
 
-* N <= 6 (``_WALSH_MAX_SITES``): in the Walsh-Hadamard basis, where
-  sum_i sx_i is diagonal, a step is one dense 2^N x 2^N matmul by the
-  run's fixed mixer H diag(P) H and one elementwise rotation phase.
-* N >= 7: in the gauge i^popcount(s) psi_s, where each single-site
-  rotation is real, a step is P and one real matmul per block of b <= 4
-  sites on the float view (2^(N+1) * 2^b multiply-adds), which up to
-  N = 10 (``_CYCLED_MAX_SITES``) also cycles the block's bits to the
-  bottom of the index.
-A record and the final state multiply the held state by the closing half
-phase (in the gauge, with the gauge divided out too), a record into scratch,
-so a recorded run ends bit for bit where the unrecorded one does.
-Per step, one BLAS thread on a two-core Xeon: 1.0-1.1 us at N <= 3, 2.7 us
-at 6, 2.8 us at 7, 7.7 us at 10, 0.11 ms at 14 and 0.76 ms at 16.  A blocked
-trace record, with the pairwise-broadcast reader it replaced and now
-(fastest of 100, alternating call by call): N = 10 41 / 26 us, 12 91 / 73
-us, 16 1144 / 783 us, and in the sector of N = 16 and 18 (15 and 17 sites)
-701 / 483 us and 3.39 / 2.31 ms.
-Time is in hbar/eV by default ("natural"); with ``time_unit="seconds"``
-the accumulated phases pick up the hbar/eV scale factor.
-
-Zero-field runs of 12 sites and more (every field exactly zero), from the
-transverse ground state (no initial state given), are carried in their
-spin-flip sector: the half of the state whose top site is clear, stepped in
-place on N - 1 sites, the top site's rotation riding on the top block's
-matmul (see :func:`evolve`).  That covers MAX-CUT problems and device grids
-at n_g = 0; smaller runs step the full state, where a step costs mostly its
-numpy calls.  Per step, full state against sector (fastest of 9-25 in
-turn): N = 16 768 / 414 us, N = 18 4.30 / 2.65 ms.  Such a run at N = 24
-steps a 128 MB half state: a 3-step ``fgqa anneal`` of a 24-site MAX-CUT
-graph peaked at 815 MB resident.
+Zero-field runs of 12 sites and more from the transverse ground state, such
+as MAX-CUT problems and device grids at n_g = 0, are carried in their
+spin-flip sector (see :func:`evolve`), half the size of the full state.
 
 The positive-coupling convention favours anti-aligned neighbours, which
 is what makes MAX-CUT the native problem: cutting an edge of weight w
@@ -61,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -352,14 +333,50 @@ def apply_hamiltonian(model: IsingModel, delta: float, psi: np.ndarray) -> np.nd
 
 
 # Largest site count stepped by the Walsh kernel, whose step is a dense 4^n
-# matmul.  Per step (Walsh / blocked), one BLAS thread on a two-core Xeon,
-# fastest of four rounds of 21 runs of 4000 steps: n = 5 1.3 / 2.0, 6 2.4 /
-# 2.2, 7 5.7 / 2.6 us.  At n = 6 the blocked stepper is the faster one; the
-# crossing stays, as moving it would change how every 6-site run rounds.
-_WALSH_MAX_SITES = 6
+# matmul: the measured crossing (``walsh_crossing`` in BENCH_31.json).
+_WALSH_MAX_SITES = 5
 
-# Steps per table of rotation coefficients (0.25 MB for the Walsh kernel).
+# Steps per chunk of angles whose rotations are computed in one pass.
 _CHUNK_STEPS = 256
+
+# Steps per table of prebound calls, a divisor of _CHUNK_STEPS: a call takes
+# about 0.3 us to build (``table_steps`` in BENCH_31.json).  In place, four:
+# their tables then hold at most 40 KB next to the state.
+_TABLE_STEPS = 32
+
+
+def _advance(calls: list, width: int, refill):
+    """``advance(stop)``, taking a stepper from its step to step ``stop``:
+    step k runs the ``width`` calls of row k % rows of the table ``calls``,
+    each prebound to fixed buffers, after ``refill(k)`` has written the
+    next rows' matrices into those buffers if k starts a table."""
+    rows, position = len(calls) // width, 0
+
+    def advance(stop: int) -> None:
+        nonlocal position
+        while position < stop:
+            row = position % rows
+            if not row:
+                refill(position)
+            end = min(stop, position - row + rows)
+            for call in calls[row * width:(end - position + row) * width]:
+                call()
+            position = end
+
+    return advance
+
+
+@cache
+def _walsh_tables(n: int) -> tuple[np.ndarray, ...]:
+    """(-1)^popcount(r & c), H, r ^ c and popcount(r) for 2^n r, c, and the
+    n + 1 levels of sum_i sz_i; read-only."""
+    index = np.arange(1 << n)
+    signs = np.where(np.bitwise_count(index[:, None] & index) & 1, -1.0, 1.0)
+    tables = (signs, signs / math.sqrt(1 << n), index[:, None] ^ index,
+              np.bitwise_count(index).astype(np.intp), n - 2.0 * np.arange(n + 1))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _walsh_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: np.ndarray,
@@ -380,32 +397,26 @@ def _walsh_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: np.
     record reads the sx terms as the Walsh spectrum of that state times the
     levels of D.  ``psi`` and ``half_phase`` become the stepper's own arrays.
     """
-    if psi is None:
-        psi = initial_state(n)
+    psi = initial_state(n) if psi is None else psi
     dim = 1 << n
-    index = np.arange(dim)
-    signs = np.where(np.bitwise_count(index[:, None] & index) & 1, -1.0, 1.0)
-    walsh = signs / math.sqrt(dim)
+    signs, walsh, xor, counts, levels = _walsh_tables(n)
     # scaled by the exact 1 / dim: a rounded (1 / sqrt(dim))^2 would grow
     # the norm by an ulp on every step
-    mixer = (signs @ phase / dim)[index[:, None] ^ index]
-    counts = np.bitwise_count(index)
-    levels = n - 2.0 * np.arange(n + 1)
-    # each mixer product writes into the other of two buffers
+    mixer = (signs @ phase / dim)[xor]
+    # a step is the mixer product into ``spare`` and D_k back into phi
     phi, spare = walsh @ np.divide(psi, half_phase, out=psi), psi
-    position, rotations = 0, None
+    table = np.empty((min(_TABLE_STEPS, thetas.shape[0]), dim), dtype=np.complex128)
+    mix, calls = partial(mixer.dot, phi, spare), []
+    for d in table:
+        calls += mix, partial(np.multiply, spare, d, phi)
+    rotations = None
 
-    def advance(stop: int) -> None:
-        nonlocal phi, spare, position, rotations
-        for lo in range(position - position % _CHUNK_STEPS, stop, _CHUNK_STEPS):
-            if lo >= position:      # a chunk that no earlier advance began
-                chunk = thetas[lo:lo + _CHUNK_STEPS]
-                rotations = np.exp(-1j * np.multiply.outer(chunk, levels))[:, counts]
-            for d in rotations[max(position - lo, 0):stop - lo]:
-                mixer.dot(phi, spare)
-                phi, spare = spare, phi
-                phi *= d
-        position = stop
+    def refill(k: int) -> None:
+        nonlocal rotations
+        if not k % _CHUNK_STEPS:
+            rotations = np.exp(-1j * np.multiply.outer(thetas[k:k + _CHUNK_STEPS], levels))
+        part = rotations[k % _CHUNK_STEPS:][:table.shape[0]]
+        part.take(counts, 1, table[:part.shape[0]], "clip")
 
     def energy(diag: np.ndarray, delta: float) -> float:
         # |chi|^2 diag and |H chi|^2 levels, each summed pairwise: the Ising
@@ -420,7 +431,7 @@ def _walsh_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: np.
     def state() -> np.ndarray:
         return walsh @ phi * half_phase
 
-    return advance, energy, state
+    return _advance(calls, 2, refill), energy, state
 
 
 # Most sites per transverse-rotation block, which costs 2^(n+1) * 2^b real
@@ -429,9 +440,8 @@ def _walsh_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: np.
 _BLOCK_SITES = 4
 
 # Largest site count stepped in the cycled layout, whose products read the
-# state with a stride of 2^(n+1-m) floats for an m-bit block.  Per step
-# (cycled / in place, fastest of 75 runs in turn): n = 7 3.5 / 5.9, 10 8.6 /
-# 13, 12 30 / 36, 14 127 / 130, 16 1112 / 813 us.
+# state with a stride of 2^(n+1-m) floats for an m-bit block; both layouts'
+# per-step times are ``cycled_crossing`` in BENCH_31.json.
 _CYCLED_MAX_SITES = 10
 
 _GRAM_SITES = 4     # sites whose sx terms a record reads from one Gram matrix
@@ -456,6 +466,7 @@ def _sx_blocks(n: int) -> tuple[int, ...]:
     return tuple(sizes)
 
 
+@cache
 def _rotation_index(b: int, lowest: bool = False) -> np.ndarray:
     """Where each entry of a b-site real rotation sits in a coefficient row.
 
@@ -467,10 +478,11 @@ def _rotation_index(b: int, lowest: bool = False) -> np.ndarray:
     r = np.arange(1 << b)[:, None]
     c = np.arange(1 << b)
     index = np.bitwise_count(r ^ c) + (b + 1) * (np.bitwise_count(~r & c) & 1)
-    if not lowest:
-        return index
-    same = np.eye(2, dtype=bool)[None, :, None, :]
-    return np.where(same, index.T[:, None, :, None], 2 * b + 2).reshape(2 << b, 2 << b)
+    if lowest:
+        same = np.eye(2, dtype=bool)[None, :, None, :]
+        index = np.where(same, index.T[:, None, :, None], 2 * b + 2).reshape(2 << b, 2 << b)
+    index.flags.writeable = False
+    return index
 
 
 def _rotation_coefficients(thetas: np.ndarray, b: int) -> np.ndarray:
@@ -482,6 +494,7 @@ def _rotation_coefficients(thetas: np.ndarray, b: int) -> np.ndarray:
     return np.concatenate((row, -row, np.zeros_like(c)), axis=1)
 
 
+@cache
 def _hypercube(bits: int, lowest: int = 0) -> np.ndarray:
     """A with 1 where two of 2^bits indices differ in one bit, at ``lowest``
     or above.  With X the float view of a state, reshaped so that its rows
@@ -491,6 +504,7 @@ def _hypercube(bits: int, lowest: int = 0) -> np.ndarray:
     index = np.arange(1 << bits)[:, None]
     cube = np.zeros((1 << bits, 1 << bits))
     cube[index, index ^ 1 << np.arange(lowest, bits)] = 1.0
+    cube.flags.writeable = False
     return cube
 
 
@@ -506,8 +520,7 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
     ``_CYCLED_MAX_SITES`` each block, top one first, is one 2-D product
     X^T M^T of X = (block bits, other bits) written as (other bits, block
     bits), which leaves every bit in place after site 0's; above, blocks act
-    in place on (high, block, low) views.  Tables of block matrices are filled
-    a few numpy calls per table, not per step.
+    in place on (high, block, low) views.
 
     Returns the stepper as :func:`_walsh_kernel` does.  With ``flip`` = +-1,
     ``psi`` is the spin-flip sector's half state on more than
@@ -552,16 +565,13 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
     # the coefficient index of each distinct block matrix: kron(O^T, I_2) for
     # site 0's, O^T for the others cycled (from the right), O in place
     indices = {(b, lowest): _rotation_index(b, lowest) if lowest or not cycled
-               else _rotation_index(b).T for b, lowest, _ in blocks}
-    # steps per table: a chunk cycled, four in place (19.2 -> 16.8 us per step
-    # at n = 11 against one), where they take 40 KB at most, next to the state
-    steps = min(_CHUNK_STEPS if cycled else 4, thetas.shape[0])
+               else _rotation_index(b).T.copy() for b, lowest, _ in blocks}
+    steps = min(_TABLE_STEPS if cycled else 4, thetas.shape[0])
     tables = {key: np.empty((steps, *index.shape)) for key, index in indices.items()}
     # a step starts and ends in buffer 0, and its phase writes buffer ``start``
     if not flip:
         # each matmul writes into the other of two state-size buffers
-        if psi is None:
-            psi = initial_state(n)
+        psi = initial_state(n) if psi is None else psi
         buffers = (psi, np.empty_like(psi))
         start = len(blocks) & 1
         route = [(start ^ (i & 1), 1 - (start ^ (i & 1))) for i in range(len(blocks))]
@@ -586,74 +596,64 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
              flat[target].reshape(shape), tables[b, lowest], len(shape) == 3)
             for (b, lowest, shape), (source, target) in zip(blocks, route)]
     powers = np.array([1.0, -1.0j, -1.0, 1.0j])     # (-i)^k
+    # closing = half_phase (-i)^popcount(s), over two halves of the bits
+    closing = half_phase.reshape(1 << (n - n // 2), -1)
+    closing *= powers[np.bitwise_count(np.arange(closing.shape[0])) % 4][:, None]
+    closing *= powers[np.bitwise_count(np.arange(closing.shape[1])) % 4]
+    np.divide(buffers[0], half_phase, out=buffers[0])
+    # every step opens with the phase and, in the sector, writes y
+    opening = [partial(np.multiply, buffers[0], phase, buffers[start])]
     if flip:
         # the top block's matmul on the state and y one above the other, with
         # the matrices [cos theta M, sin theta M S] along the axis it contracts
         top = blocks[0][0]
         base = tables[top, False]
         stacked = np.empty((steps, 1 << top, 2 << top))
-        pair = stack[:2].view(np.float64).reshape(2 << top, -1)
-        plan[0] = (pair, flat[2].reshape(1 << top, -1), stacked, True)
+        plan[0] = (stack[:2].view(np.float64).reshape(2 << top, -1),
+                   flat[2].reshape(1 << top, -1), stacked, True)
         cos_half, sin_half = np.split(stacked, 2, axis=2)
         block_signs = (-1.0) ** np.bitwise_count(np.arange(1 << top))
         low_signs = -flip * powers[(n - 1) % 4] * (-1.0) ** np.bitwise_count(
             np.arange(1 << (n - top)))
-        mirror = buffers[0][::-1].reshape(-1, low_signs.shape[0])
-        y = buffers[1].reshape(-1, low_signs.shape[0])
+        opening.append(partial(np.multiply, buffers[0][::-1].reshape(-1, low_signs.shape[0]),
+                               low_signs, buffers[1].reshape(-1, low_signs.shape[0])))
+    # a block's product from the right calls its state's own dot, which
+    # skips np.dot's dispatcher
+    calls = []
+    for row in range(steps):
+        calls += opening
+        calls += [partial(np.matmul, table[row], state, out) if left
+                  else partial(state.dot, table[row], out) for state, out, table, left in plan]
+    coefficients, cosines, sines = {}, None, None
 
-    # a record's float view, (bits above low, bits below low and re/im), and
-    # the weights of its Gram matrices
+    def refill(k: int) -> None:
+        nonlocal coefficients, cosines, sines
+        if not k % _CHUNK_STEPS:
+            chunk = thetas[k:k + _CHUNK_STEPS]
+            coefficients = {b: _rotation_coefficients(chunk, b) for b in set(sizes)}
+            if flip:
+                cosines, sines = np.cos(chunk)[:, None, None], np.sin(chunk)[:, None, None]
+        k %= _CHUNK_STEPS
+        for (b, lowest), index in indices.items():
+            rows = coefficients[b][k:k + steps]
+            # mode "clip" writes straight into the table; "raise" buffers it
+            rows.take(index, 1, tables[b, lowest][:rows.shape[0]], "clip")
+        if flip:
+            filled = slice(rows.shape[0])
+            np.multiply(base[filled], cosines[k:k + steps], out=cos_half[filled])
+            np.multiply(base[filled], sines[k:k + steps] * block_signs, out=sin_half[filled])
+
+    # a record's float view, (bits above low, bits below low and re/im)
     low = min(n, _GRAM_SITES)
     floats = flat[1].reshape(-1, 2 << low)
-    low_weights = _hypercube(low + 1, 1)
-    row_weights = _hypercube(n - low) if n <= _ROW_GRAM_MAX_SITES else None
-    # closing = half_phase (-i)^popcount(s), over two halves of the bits
-    closing = half_phase.reshape(1 << (n - n // 2), -1)
-    closing *= powers[np.bitwise_count(np.arange(closing.shape[0])) % 4][:, None]
-    closing *= powers[np.bitwise_count(np.arange(closing.shape[1])) % 4]
-    np.divide(buffers[0], half_phase, out=buffers[0])
-    held, opened = buffers[0], buffers[start]
-    position, coefficients = 0, {}
-    cosines = sines = None
-
-    def advance(stop: int) -> None:
-        nonlocal position, coefficients, cosines, sines
-        for lo in range(position - position % _CHUNK_STEPS, stop, _CHUNK_STEPS):
-            if lo >= position:      # a chunk that no earlier advance began
-                chunk = thetas[lo:lo + _CHUNK_STEPS]
-                coefficients = {b: _rotation_coefficients(chunk, b) for b in set(sizes)}
-                if flip:
-                    cosines, sines = np.cos(chunk)[:, None, None], np.sin(chunk)[:, None, None]
-            for k in range(max(position - lo, 0), min(stop - lo, _CHUNK_STEPS)):
-                row = k % steps
-                if not row:     # the tables' next steps
-                    for (b, lowest), index in indices.items():
-                        rows = coefficients[b][k:k + steps]
-                        # mode="clip" writes straight into ``out``; "raise" buffers it
-                        rows.take(index, axis=1, out=tables[b, lowest][:rows.shape[0]],
-                                  mode="clip")
-                    if flip:
-                        filled = slice(rows.shape[0])
-                        np.multiply(base[filled], cosines[k:k + steps], out=cos_half[filled])
-                        np.multiply(base[filled], sines[k:k + steps] * block_signs,
-                                    out=sin_half[filled])
-                np.multiply(held, phase, opened)
-                if flip:
-                    np.multiply(mirror, low_signs, y)
-                for state, out, table, left in plan:
-                    if left:
-                        np.matmul(table[row], state, out=out)
-                    else:
-                        state.dot(table[row], out)      # skips np.dot's dispatcher
-        position = stop
 
     def energy(diag: np.ndarray, delta: float) -> float:
         spare = np.multiply(buffers[0], half_phase, out=buffers[1])
         sx = 0.0
         if delta != 0.0:
-            sx = np.vdot(floats.T @ floats, low_weights)
-            if row_weights is not None:
-                sx += np.vdot(floats @ floats.T, row_weights)
+            sx = np.vdot(floats.T @ floats, _hypercube(low + 1, 1))
+            if n <= _ROW_GRAM_MAX_SITES:
+                sx += np.vdot(floats @ floats.T, _hypercube(n - low))
             else:
                 for i in range(low, n):
                     halves = flat[1].reshape(-1, 2, 2 << i)      # axis 1 is bit i
@@ -677,7 +677,7 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
         np.multiply(buffers[0][::-1], flip, out=buffers[1])
         return stack[:2].reshape(-1)
 
-    return advance, energy, state
+    return _advance(calls, len(calls) // steps, refill), energy, state
 
 
 def evolve(model: IsingModel, schedule: Schedule, psi0: np.ndarray | None = None,

@@ -250,7 +250,8 @@ class TestStepKernels:
         np.testing.assert_allclose(evolve(model, sched, psi0=psi0).psi, expected,
                                    rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("n", (6, 7, 8))
+    # both sides of _WALSH_MAX_SITES
+    @pytest.mark.parametrize("n", (4, 5, 6, 7, 8))
     def test_kernels_agree_after_many_steps(self, rng, n):
         phase = np.exp(-1j * rng.uniform(0.0, 0.1, 2**n))
         thetas = Schedule(delta0=4.0, t_total=1000.0, steps=1000,
@@ -259,6 +260,25 @@ class TestStepKernels:
         np.testing.assert_allclose(run_kernel(_walsh_kernel, phase, thetas, psi),
                                    run_kernel(_blocked_kernel, phase, thetas, psi),
                                    rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("n", (5, 8))
+    def test_steps_allocate_nothing(self, rng, n):
+        # a step runs calls prebound to fixed buffers, so a long advance peaks
+        # no higher than a short one: only each chunk's coefficients come and go
+        assert (n <= _WALSH_MAX_SITES) == (n == 5)
+        phase = np.exp(-1j * rng.uniform(0.0, 0.1, 2**n))
+        thetas = np.linspace(0.3, 0.01, 4000)
+        kernel = _walsh_kernel if n <= _WALSH_MAX_SITES else _blocked_kernel
+        peaks = []
+        for stop in (64, 4000):
+            advance, _, _ = kernel(n, phase, np.ones(2**n, complex), thetas, random_state(rng, n))
+            tracemalloc.start()
+            try:
+                advance(stop)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 64 << 10
 
     # Walsh, cycled with an even and an odd number of blocks, in place
     @pytest.mark.parametrize("n", (5, 7, 8, 10, 11))
@@ -362,7 +382,7 @@ class TestStepKernels:
 
     # the Walsh stepper at odd and even n, where its scale 1 / sqrt(2^n) is
     # rounded and exact, and the blocked stepper cycled and in place
-    @pytest.mark.parametrize("n", (1, 3, 5, 6, 9, 12, 16))
+    @pytest.mark.parametrize("n", (1, 3, 4, 5, 6, 9, 12, 16))
     def test_recording_does_not_change_state(self, rng, n):
         model = chain_model(rng.normal(size=n), rng.normal(size=n - 1))
         sched = Schedule(delta0=2.0, t_total=40.0, steps=800, profile="exponential")

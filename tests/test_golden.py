@@ -7,9 +7,10 @@ column repeats (one delta is listed twice), a uniform ``fg_grid``
 anneal whose histogram holds degenerate energies and repeated
 frequencies, a 12-site chain anneal with nonzero fields, which steps
 the full state in place, a 9-site chain anneal with fields, which steps it
-in the cycled layout, and a 13-site MAX-CUT anneal, which steps the
+in the cycled layout, a 6-site chain anneal with fields, the smallest that
+the blocked stepper takes, and a 13-site MAX-CUT anneal, which steps the
 spin-flip sector in place, so any change to how a value is computed or
-formatted shows as a changed digest.
+formatted, or to which stepper takes a run, shows as a changed digest.
 
 To print the digests of the current tree (after a change that is meant
 to move the outputs), run from the repository root:
@@ -73,6 +74,13 @@ CASES = {
         "schedule": {"delta0_ev": 1.5, "t_total": 15.0, "steps": 500,
                      "profile": "linear"},
         "shots": 2048}, ["--seed", "3"]),
+    "anneal-chain-6": ("anneal", {
+        "schema_version": 1,
+        "problem": {"kind": "chain", "h": [0.25, -0.3, 0.15, -0.1, 0.3, -0.2],
+                    "j": [0.45, -0.5, 0.35, 0.55, -0.4]},
+        "schedule": {"delta0_ev": 1.5, "t_total": 12.0, "steps": 400,
+                     "profile": "exponential"},
+        "shots": 2048}, ["--seed", "23"]),
     "anneal-maxcut-sector": ("anneal", {
         "schema_version": 1,
         "problem": {"kind": "maxcut",
@@ -100,7 +108,9 @@ CASES = {
 # differently.  The fg_grid trace moved, in 291 of 301 energies by 1.7e-18 eV
 # at most, and its histogram did not, when zero-field runs below 12 sites
 # came to step the full state instead of the spin-flip sector.  The
-# anneal-chain-cycled and anneal-maxcut-sector cases were recorded after that.
+# anneal-chain-cycled and anneal-maxcut-sector cases were recorded after that,
+# and the anneal-chain-6 case after 6-site runs came to be stepped by the
+# blocked stepper instead of the Walsh one.
 DIGESTS = {
     "sweep-L": {
         "exit": 0,
@@ -164,6 +174,13 @@ DIGESTS = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out_histogram.csv": "ee17d1258e97a39106cffb5d04e8b20ceb735e30cf4567aac339910335048661",
         "out_trace.csv": "2a8f78e97e0fca2eb8901a36aaf7ffedd1a2021fe7adcad2af99f3ea52760ebb",
+    },
+    "anneal-chain-6": {
+        "exit": 0,
+        "stdout": "c8b4d3446cb2994d298935e277541bc12173c7c383a0989fb133b6966e399f6f",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out_histogram.csv": "37a698eda35cd8c6ef1829a5054da9ee1ac1170011f5b36d006b54afac82b9ec",
+        "out_trace.csv": "cb110706ccf52b605432db01bbde57550c79b01e74eb00ea365ce5e55282c227",
     },
     "anneal-maxcut-sector": {
         "exit": 0,
