@@ -11,16 +11,18 @@ evolution is a symmetric (Strang) splitting between the diagonal Ising
 part and the product of single-site transverse rotations, so every step
 is exactly unitary.  A stepper holds the state with its closing half
 phase divided out, so that every step, the first too, opens with one full
-phase P, and the rotation angles of all steps come from one array call of
-the schedule.  Up to ``_WALSH_MAX_SITES`` sites :func:`_walsh_kernel` steps
-a run in the Walsh-Hadamard basis, where sum_i sx_i is diagonal; above,
-:func:`_blocked_kernel` steps it in a gauge where each site block's rotation
-is one real matmul.  Either way a step is one row of a short table of calls
-prebound to the stepper's fixed buffers (:func:`_advance`), and a recorded
-run ends bit for bit where the unrecorded one does.  Measured per-step
-times are in ``BENCH_31.json``.  Time is in hbar/eV by default
-("natural"); with ``time_unit="seconds"`` the accumulated phases pick up
-the hbar/eV scale factor.
+phase P; the angles of all steps, and the Delta of all records, each come
+from one array call of the schedule.  Up to ``_WALSH_MAX_SITES`` sites
+:func:`_walsh_kernel` steps a run in the Walsh-Hadamard basis, where
+sum_i sx_i is diagonal; above, :func:`_blocked_kernel` steps it in a gauge
+where each site block's rotation is one real matmul.  Either way a step is
+one row of a short table of calls prebound to the stepper's fixed buffers
+(:func:`_advance`).  A stepper only steps: at a record it writes the
+physical state into its spare buffer, where one reader, :func:`_energy`,
+computes <H>, so a recorded run ends bit for bit where the unrecorded one
+does.  Measured per-step times are in ``BENCH_31.json``.  Time is in hbar/eV
+by default ("natural"); with ``time_unit="seconds"`` the accumulated phases
+pick up the hbar/eV scale factor.
 
 Zero-field runs of 12 sites and more from the transverse ground state, such
 as MAX-CUT problems and device grids at n_g = 0, are carried in their
@@ -144,6 +146,8 @@ class Schedule:
             raise ValueError("initial transverse field must be non-negative and finite")
         if not 0.0 < self.t_total < math.inf:
             raise ValueError("total time must be positive and finite")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError("step count must be at least 1")
         if self.profile not in ("linear", "exponential"):
@@ -154,12 +158,13 @@ class Schedule:
             raise ValueError(f"unknown time unit {self.time_unit!r}")
 
     def delta_at(self, t):
-        """Delta at time ``t``: a float for a scalar, an array for an array."""
+        """Delta at time ``t``: a float for a scalar, an array for an array,
+        each rounded as the array path rounds it."""
         x = np.clip(np.asarray(t, dtype=float) / self.t_total, 0.0, 1.0)
         if self.profile == "linear":
             d = self.delta0 * (1.0 - x)
         else:
-            d = self.delta0 * self.floor_ratio**x
+            d = self.delta0 * np.power(self.floor_ratio, x)
         return float_or_array(d)
 
     @property
@@ -389,13 +394,13 @@ def _walsh_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: np.
     out, so a step is the fixed mixer H diag(phase) H (the Walsh transform of
     ``phase`` at r ^ s / sqrt(2^n)) and then D_k.
 
-    Returns ``(advance, energy, state)`` for the angles ``thetas`` from ``psi``
+    Returns ``(advance, physical)`` for the angles ``thetas`` from ``psi``
     (None for the transverse ground state, which the stepper writes into its
-    own buffer): ``advance(stop)`` takes the state to step ``stop``,
-    ``energy(diag, delta)`` is <H> there and ``state()`` is the state, each
-    from H phi times ``half_phase``, so records change no bit of the run.  A
-    record reads the sx terms as the Walsh spectrum of that state times the
-    levels of D.  ``psi`` and ``half_phase`` become the stepper's own arrays.
+    own buffer): ``advance(stop)`` takes the state to step ``stop``, and
+    ``physical()`` writes the physical state there, H phi times
+    ``half_phase``, into the spare buffer and returns it, so a record changes
+    no bit of the run; ``physical(final=True)`` ends the run.  ``psi`` and
+    ``half_phase`` become the stepper's own arrays.
     """
     psi = initial_state(n) if psi is None else psi
     dim = 1 << n
@@ -418,25 +423,15 @@ def _walsh_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: np.
         part = rotations[k % _CHUNK_STEPS:][:table.shape[0]]
         part.take(counts, 1, table[:part.shape[0]], "clip")
 
-    def energy(diag: np.ndarray, delta: float) -> float:
-        # |chi|^2 diag and |H chi|^2 levels, each summed pairwise: the Ising
-        # term can nearly cancel
-        chi = walsh @ phi * half_phase
-        terms = np.square(chi.view(np.float64)).reshape(-1, 2)
-        terms *= diag[:, None]
-        spectrum = np.square((walsh @ chi).view(np.float64)).reshape(-1, 2)
-        spectrum *= levels[counts][:, None]
-        return float(terms.sum() + delta * spectrum.sum())
+    def physical(final: bool = False) -> np.ndarray:
+        return np.multiply(np.matmul(walsh, phi, out=spare), half_phase, out=spare)
 
-    def state() -> np.ndarray:
-        return walsh @ phi * half_phase
-
-    return _advance(calls, 2, refill), energy, state
+    return _advance(calls, 2, refill), physical
 
 
 # Most sites per transverse-rotation block, which costs 2^(n+1) * 2^b real
-# multiply-adds in one call.  Per step in place with blocks of at most 3 / 4
-# / 5 / 6 sites: n = 14 143 / 128 / 186 / 195 us, 18 4.5 / 4.5 / 6.0 / 9.4 ms.
+# multiply-adds in one call: per step in place, within 3% of the fastest size
+# at n = 14, 16 and 18 (``block_sites`` in BENCH_32.json).
 _BLOCK_SITES = 4
 
 # Largest site count stepped in the cycled layout, whose products read the
@@ -447,9 +442,8 @@ _CYCLED_MAX_SITES = 10
 _GRAM_SITES = 4     # sites whose sx terms a record reads from one Gram matrix
 
 # Largest site count whose records read the sx terms of the sites above
-# _GRAM_SITES from one more Gram matrix, not from one vecdot per site.  Per
-# record (Gram / vecdots, one BLAS thread, fastest of 200 in turn): n = 9 29 /
-# 49, 10 38 / 59, 11 87 / 71, 12 351 / 129 us.
+# _GRAM_SITES from one more Gram matrix, not from one vecdot per site: the
+# measured crossing of :func:`_energy` (``row_gram`` in BENCH_32.json).
 _ROW_GRAM_MAX_SITES = 10
 
 
@@ -531,23 +525,15 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
     block, so the top block goes first and takes it along: one pass writes y
     = u (-1)^popcount(bits below the block) psi'[::-1] under the state, and
     the block's matmul reads both with the matrix [cos theta M, sin theta M
-    diag((-1)^popcount(block bits))].  ``state()`` is then the full state
-    (psi, flip psi[::-1]).
+    diag((-1)^popcount(block bits))].  ``physical()`` is then the half state
+    and ``physical(final=True)`` the full state (psi, flip psi[::-1]).
 
     The stepper holds psi' / closing, the state with its closing half phase
     divided out, where closing = half_phase (-i)^popcount(s) takes the gauge
     off as well: ``half_phase``, the stepper's own array as ``psi`` is, is
     tilted into ``closing`` in place when the stepper is built.  A step is
-    then one multiply by ``phase`` and the blocks, and ``state()``, called
-    once, ends the run with one multiply by ``closing`` in place.  A record
-    writes the same product, the physical state chi, into the spare buffer and
-    reads <H> there.  Each sx_i term is Re conj(chi_s) chi_(s ^ 2^i), a
-    product of float pairs, read from the float view X = (bits above b, bits
-    below b and re/im), b = ``_GRAM_SITES``: the low sites' from the Gram
-    matrix X^T X, the others' from X X^T up to ``_ROW_GRAM_MAX_SITES`` sites
-    and one vecdot each above (:func:`_hypercube`), and a sector's top site's
-    from one vdot of chi's halves, the upper one reversed.  The Ising term
-    squares chi in place and sums |chi|^2 diag pairwise.
+    then one multiply by ``phase`` and the blocks, and ``physical()`` writes
+    one multiply by ``closing``, the physical state, into the spare buffer.
     """
     sizes = _sx_blocks(n)
     cycled = n <= _CYCLED_MAX_SITES
@@ -643,41 +629,53 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
             np.multiply(base[filled], cosines[k:k + steps], out=cos_half[filled])
             np.multiply(base[filled], sines[k:k + steps] * block_signs, out=sin_half[filled])
 
-    # a record's float view, (bits above low, bits below low and re/im)
-    low = min(n, _GRAM_SITES)
-    floats = flat[1].reshape(-1, 2 << low)
+    def physical(final: bool = False) -> np.ndarray:
+        chi = np.multiply(buffers[0], half_phase, out=buffers[1])
+        if not (final and flip):
+            return chi
+        np.multiply(chi[::-1], flip, out=buffers[2])
+        return stack[1:].reshape(-1)
 
-    def energy(diag: np.ndarray, delta: float) -> float:
-        spare = np.multiply(buffers[0], half_phase, out=buffers[1])
-        sx = 0.0
-        if delta != 0.0:
-            sx = np.vdot(floats.T @ floats, _hypercube(low + 1, 1))
-            if n <= _ROW_GRAM_MAX_SITES:
-                sx += np.vdot(floats @ floats.T, _hypercube(n - low))
-            else:
-                for i in range(low, n):
-                    halves = flat[1].reshape(-1, 2, 2 << i)      # axis 1 is bit i
-                    sx += 2.0 * np.vecdot(halves[:, 0], halves[:, 1]).sum()
-            if flip:
-                # Re <chi|chi[::-1]>, whose halves' terms are equal
-                half = spare.shape[0] // 2
-                sx += 2.0 * flip * np.vdot(spare[:half], spare[half:][::-1]).real
-        # |chi|^2 diag summed pairwise, where the Ising term can nearly cancel
-        squares = np.square(flat[1], out=flat[1]).reshape(-1, 2)
-        norms = squares[:, 0]
-        norms += squares[:, 1]
-        norms *= diag
-        energy = norms.sum() + delta * sx
-        return float(2.0 * energy if flip else energy)
+    return _advance(calls, len(calls) // steps, refill), physical
 
-    def state() -> np.ndarray:
-        np.multiply(buffers[0], half_phase, out=buffers[0])
-        if not flip:
-            return buffers[0]
-        np.multiply(buffers[0][::-1], flip, out=buffers[1])
-        return stack[:2].reshape(-1)
 
-    return _advance(calls, len(calls) // steps, refill), energy, state
+def _energy(chi: np.ndarray, diag: np.ndarray, delta: float, flip: int = 0) -> float:
+    """<H> at transverse field ``delta`` of the physical state ``chi``, whose
+    Ising energies are ``diag``, read in place: chi is overwritten.
+
+    Each sx_i term is Re conj(chi_s) chi_(s ^ 2^i), a product of float pairs,
+    read from the float view X = (bits above b, bits below b and re/im), b =
+    ``_GRAM_SITES``: the low sites' from the Gram matrix X^T X, any others'
+    from X X^T up to ``_ROW_GRAM_MAX_SITES`` sites and one vecdot each above
+    (:func:`_hypercube`).  With ``flip`` = +-1, chi is the spin-flip sector's
+    half of the full state (chi, flip chi[::-1]): its top site's term is one
+    vdot of chi's halves, the upper one reversed, and <H> is twice the half's.
+    The Ising term squares chi in place and sums |chi|^2 diag pairwise.
+    """
+    n = chi.shape[0].bit_length() - 1
+    flat = chi.view(np.float64)
+    sx = 0.0
+    if delta != 0.0:
+        low = min(n, _GRAM_SITES)
+        floats = flat.reshape(-1, 2 << low)
+        sx = np.vdot(floats.T @ floats, _hypercube(low + 1, 1))
+        if low < n <= _ROW_GRAM_MAX_SITES:
+            sx += np.vdot(floats @ floats.T, _hypercube(n - low))
+        else:
+            for i in range(low, n):
+                halves = flat.reshape(-1, 2, 2 << i)      # axis 1 is bit i
+                sx += 2.0 * np.vecdot(halves[:, 0], halves[:, 1]).sum()
+        if flip:
+            # Re <chi|chi[::-1]>, whose halves' terms are equal
+            half = chi.shape[0] // 2
+            sx += 2.0 * flip * np.vdot(chi[:half], chi[half:][::-1]).real
+    # |chi|^2 diag summed pairwise, where the Ising term can nearly cancel
+    squares = np.square(flat, out=flat).reshape(-1, 2)
+    norms = squares[:, 0]
+    norms += squares[:, 1]
+    norms *= diag
+    energy = norms.sum() + delta * sx
+    return float(2.0 * energy if flip else energy)
 
 
 def evolve(model: IsingModel, schedule: Schedule, psi0: np.ndarray | None = None,
@@ -688,7 +686,8 @@ def evolve(model: IsingModel, schedule: Schedule, psi0: np.ndarray | None = None
     at the midpoint field, half a diagonal phase.  Deterministic for a
     given (model, schedule, initial state); the norm is preserved to
     rounding error.  ``record_every`` > 0 stores (t, Delta, <H>) every
-    that many steps, plus the initial and final points.
+    that many steps, plus the initial and final points: the stepper hands
+    over the physical state at each, and :func:`_energy` reads <H> there.
 
     With every field exactly zero and no ``psi0``, the run is carried in the
     spin-flip sector: the global flip P = prod_i sx_i commutes with H(t), and
@@ -704,6 +703,9 @@ def evolve(model: IsingModel, schedule: Schedule, psi0: np.ndarray | None = None
     below, a step costs mostly its numpy calls, so the full state is stepped.
     """
     n = model.n_sites
+    if (isinstance(record_every, bool) or not isinstance(record_every, (int, np.integer))
+            or record_every < 0):
+        raise ValueError(f"record_every must be a non-negative integer, got {record_every!r}")
     flip = 0
     if psi0 is None and not np.any(model.h) and n - 1 > _CYCLED_MAX_SITES:
         flip = (-1) ** n
@@ -737,18 +739,18 @@ def evolve(model: IsingModel, schedule: Schedule, psi0: np.ndarray | None = None
     full_phase = half_phase * half_phase
     thetas = schedule.delta_at((np.arange(steps) + 0.5) * dt) * dt * scale
     if sites <= _WALSH_MAX_SITES:
-        advance, energy, state = _walsh_kernel(sites, full_phase, half_phase, thetas, psi)
+        advance, physical = _walsh_kernel(sites, full_phase, half_phase, thetas, psi)
     else:
-        advance, energy, state = _blocked_kernel(sites, full_phase, half_phase, thetas, psi, flip)
-    stops = [0, *range(record_every, steps, record_every), steps] if record_every > 0 else []
-    times = [stop * dt for stop in stops]
-    deltas = [schedule.delta_at(t) for t in times]
+        advance, physical = _blocked_kernel(sites, full_phase, half_phase, thetas, psi, flip)
+    stops = [0, *range(record_every, steps, record_every), steps] if record_every else []
+    times = np.array(stops) * dt
+    deltas = schedule.delta_at(times)
     energies = []
-    for stop, d in zip(stops, deltas):
+    for stop, delta in zip(stops, deltas):
         advance(stop)
-        energies.append(energy(stepped, d))
+        energies.append(_energy(physical(), stepped, delta, flip))
     advance(steps)
-    return EvolutionResult(psi=state(), times=np.array(times), deltas=np.array(deltas),
+    return EvolutionResult(psi=physical(final=True), times=times, deltas=deltas,
                            energies=np.array(energies))
 
 

@@ -31,7 +31,7 @@ from fgqa.annealing import (
 from fgqa import annealing
 from fgqa.annealing import (_BLOCK_SITES, _CHUNK_STEPS, _CYCLED_MAX_SITES, _GRAM_SITES,
                             _ROW_GRAM_MAX_SITES, _WALSH_MAX_SITES, MAX_SHOTS, MAX_SITES,
-                            _blocked_kernel, _hypercube, _rotation_coefficients,
+                            _blocked_kernel, _energy, _hypercube, _rotation_coefficients,
                             _rotation_index, _sx_blocks, _walsh_kernel)
 from fgqa.constants import CONST
 from fgqa.cells import BiasSet, CellGeometry, MaterialStack, cell_from_coupling_ratio
@@ -101,9 +101,9 @@ def run_kernel(kernel, phase, thetas, psi):
     """Every step of ``kernel``'s stepper, with ``phase`` between steps and
     no half phases, on a copy of ``psi``; the final state."""
     n = psi.shape[0].bit_length() - 1
-    advance, _, state = kernel(n, phase, np.ones(1 << n, complex), thetas, psi.copy())
+    advance, physical = kernel(n, phase, np.ones(1 << n, complex), thetas, psi.copy())
     advance(thetas.shape[0])
-    return state()
+    return physical(final=True)
 
 
 def blocked_rotation(psi, theta):
@@ -222,15 +222,49 @@ class TestTransverseRotation:
         # (psi, flip psi[::-1]), whose half phase is (phase, phase[::-1])
         psi = random_state(rng, n)
         phase = np.exp(-1j * rng.uniform(0.0, 0.1, 2**n))
-        advance, energy, _ = _blocked_kernel(n, phase * phase, phase.copy(), np.array([0.3]),
-                                             psi.copy(), flip)
+        advance, physical = _blocked_kernel(n, phase * phase, phase.copy(), np.array([0.3]),
+                                            psi.copy(), flip)
         full = np.concatenate((psi, flip * psi[::-1])) if flip else psi
         halves = np.concatenate((phase, phase[::-1])) if flip else phase
         # the state at step 0, and at step 1 with its closing half phase
         for stop, chi in ((0, full), (1, halves * flip_rotation(halves * full, 0.3))):
             advance(stop)
             expected = sum(gauge_sx(gauged(chi), i) for i in range(n + bool(flip)))
-            assert energy(np.zeros(2**n), 1.0) == pytest.approx(expected, rel=1e-13, abs=1e-15)
+            energy = _energy(physical(), np.zeros(2**n), 1.0, flip)
+            assert energy == pytest.approx(expected, rel=1e-13, abs=1e-15)
+
+
+class TestEnergyReader:
+    """The one <H> reader of every recorded run, on states of its own."""
+
+    # both sides of _GRAM_SITES and of _ROW_GRAM_MAX_SITES
+    @pytest.mark.parametrize("n", range(1, 15))
+    @pytest.mark.parametrize("delta", (0.0, 0.7))
+    def test_matches_apply_hamiltonian(self, rng, n, delta):
+        assert _GRAM_SITES < 14 and _ROW_GRAM_MAX_SITES < 14
+        couplings = tuple((i, j, float(rng.normal())) for i in range(n)
+                          for j in range(i + 1, n) if j == i + 1 or rng.random() < 0.2)
+        model = IsingModel(n, rng.normal(size=n), couplings)
+        chi = random_state(rng, n)
+        expected = np.vdot(chi, apply_hamiltonian(model, delta, chi)).real
+        bound = np.abs(model.h).sum() + sum(abs(w) for _, _, w in couplings) + n * delta
+        assert abs(_energy(chi.copy(), model.diagonal, delta) - expected) <= 1e-13 * bound
+
+    @pytest.mark.parametrize("n", (1, _GRAM_SITES, _GRAM_SITES + 1, _ROW_GRAM_MAX_SITES,
+                                   _ROW_GRAM_MAX_SITES + 1, 13))
+    @pytest.mark.parametrize("flip", (1, -1))
+    def test_sector_half_matches_its_full_state(self, rng, n, flip):
+        # the half state chi of n sites stands for (chi, flip chi[::-1]) on
+        # n + 1, whose zero-field energies repeat mirrored in the upper half
+        couplings = tuple((i, i + 1, float(rng.normal())) for i in range(n))
+        model = IsingModel(n + 1, np.zeros(n + 1), couplings)
+        chi = random_state(rng, n) / math.sqrt(2.0)
+        full = np.concatenate((chi, flip * chi[::-1]))
+        delta = 0.7
+        expected = np.vdot(full, apply_hamiltonian(model, delta, full)).real
+        got = _energy(chi.copy(), model.diagonal[:2**n], delta, flip)
+        bound = sum(abs(w) for _, _, w in couplings) + (n + 1) * delta
+        assert abs(got - expected) <= 1e-13 * bound
 
 
 class TestStepKernels:
@@ -271,7 +305,7 @@ class TestStepKernels:
         kernel = _walsh_kernel if n <= _WALSH_MAX_SITES else _blocked_kernel
         peaks = []
         for stop in (64, 4000):
-            advance, _, _ = kernel(n, phase, np.ones(2**n, complex), thetas, random_state(rng, n))
+            advance, _ = kernel(n, phase, np.ones(2**n, complex), thetas, random_state(rng, n))
             tracemalloc.start()
             try:
                 advance(stop)
@@ -430,7 +464,7 @@ class TestBlockPlan:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            advance, _, _ = _blocked_kernel(n, phase, half_phase, thetas, psi)
+            advance, _ = _blocked_kernel(n, phase, half_phase, thetas, psi)
             advance(steps)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
@@ -541,10 +575,10 @@ class TestSpinFlipSector:
                     * p * math.sin(theta) * signs * gauged(psi)[::-1])
         np.testing.assert_allclose(gauged(rotated), expected, rtol=0, atol=1e-15)
         # one blocked step without phases: every site turned, the top one too
-        advance, _, state = _blocked_kernel(m, np.ones(2**m), np.ones(2**m, complex),
+        advance, physical = _blocked_kernel(m, np.ones(2**m), np.ones(2**m, complex),
                                             np.array([theta]), psi.copy(), p)
         advance(1)
-        full = state()
+        full = physical(final=True)
         turned = flip_rotation(psi, theta)
         np.testing.assert_allclose(full[:2**m], math.cos(theta) * turned
                                    - 1j * p * math.sin(theta) * turned[::-1], rtol=0, atol=1e-14)
@@ -697,13 +731,13 @@ class TestSchedule:
         assert sched.delta_at(10.0) / sched.delta0 <= 1e-6
 
     @pytest.mark.parametrize("profile", ("linear", "exponential"))
-    def test_array_times_match_scalar_calls(self, profile):
+    def test_array_times_match_scalar_calls(self, rng, profile):
+        # bit for bit, both clipped ends included: t < 0 and t > t_total
         sched = Schedule(delta0=2.0, t_total=10.0, steps=100, profile=profile)
-        t = np.linspace(-1.0, 11.0, 97)
+        t = np.concatenate((np.linspace(-1.0, 11.0, 97), rng.uniform(-1.0, 11.0, 12_000)))
         d = sched.delta_at(t)
         assert isinstance(sched.delta_at(3.0), float)
-        np.testing.assert_allclose(d, [sched.delta_at(float(v)) for v in t],
-                                   rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(d, [sched.delta_at(float(v)) for v in t])
 
     def test_exponential_floor_ratio_sets_the_endpoint(self):
         sched = Schedule(delta0=2.0, t_total=10.0, steps=100, profile="exponential",
@@ -728,6 +762,18 @@ class TestSchedule:
             Schedule(delta0=1.0, t_total=1.0, steps=10, profile="polynomial")
         with pytest.raises(ValueError):
             Schedule(delta0=1.0, t_total=1.0, steps=10, floor_ratio=1e-3)
+
+    @pytest.mark.parametrize("steps", (2.5, 3.0, True, np.float64(3.0)))
+    def test_rejects_step_count_that_is_not_an_integer(self, steps):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            Schedule(delta0=1.0, t_total=1.0, steps=steps)
+
+    @pytest.mark.parametrize("steps", (np.int64(3), np.int32(3)))
+    def test_numpy_integer_step_count_runs_as_int(self, rng, steps):
+        model = chain_model(rng.normal(size=4), rng.normal(size=3))
+        np.testing.assert_array_equal(
+            evolve(model, Schedule(delta0=1.0, t_total=1.0, steps=steps)).psi,
+            evolve(model, Schedule(delta0=1.0, t_total=1.0, steps=3)).psi)
 
     @pytest.mark.parametrize("field", ("delta0", "t_total"))
     @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
@@ -799,6 +845,23 @@ class TestEvolve:
         with pytest.raises(ValueError, match="initial state must be non-zero and finite"):
             evolve(chain_model(np.zeros(3), 1.0), Schedule(delta0=1.0, t_total=1.0, steps=4),
                    psi0=psi0)
+
+    @pytest.mark.parametrize("bad", (-1, 2.5, True))
+    def test_rejects_record_every_that_is_not_a_non_negative_integer(self, bad):
+        with pytest.raises(ValueError, match="record_every must be a non-negative integer"):
+            evolve(chain_model(np.zeros(3), 1.0), Schedule(delta0=1.0, t_total=1.0, steps=4),
+                   record_every=bad)
+
+    @pytest.mark.parametrize("record_every", (0, 1, 7))
+    def test_one_schedule_call_for_the_angles_and_one_for_the_records(
+            self, monkeypatch, record_every):
+        calls = []
+        delta_at = Schedule.delta_at
+        monkeypatch.setattr(Schedule, "delta_at",
+                            lambda self, t: calls.append(np.shape(t)) or delta_at(self, t))
+        res = evolve(random_chain(4), Schedule(delta0=2.0, t_total=10.0, steps=100,
+                                               profile="exponential"), record_every=record_every)
+        assert calls == [(100,), res.times.shape]
 
     def test_final_trace_energy_is_final_expectation(self):
         model = random_chain(4)

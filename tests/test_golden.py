@@ -110,7 +110,17 @@ CASES = {
 # came to step the full state instead of the spin-flip sector.  The
 # anneal-chain-cycled and anneal-maxcut-sector cases were recorded after that,
 # and the anneal-chain-6 case after 6-site runs came to be stepped by the
-# blocked stepper instead of the Walsh one.
+# blocked stepper instead of the Walsh one.  Since then each stepper hands a
+# record its physical state, and one reader computes <H> there for both.  The
+# four exponential-profile traces then moved, and nothing else did: every
+# record's Delta comes from one array call of the schedule, whose rounding
+# differs from the old scalar call's by one ulp at some points (3 of 201
+# deltas in anneal-chain-6, 6 of 201 in anneal-chain, 14 of 301 in fg_grid
+# and 16 of 301 in anneal-maxcut-sector, by 3.3e-16 relative at most).  With
+# them one anneal-chain-6 energy moved by 4.4e-16 eV, and the fg_grid trace,
+# whose 4 sites the Walsh stepper takes, moved in 229 of 301 energies by
+# 5.4e-19 eV at most, when its records came to be read by the shared reader
+# instead of from the Walsh spectrum.
 DIGESTS = {
     "sweep-L": {
         "exit": 0,
@@ -159,14 +169,14 @@ DIGESTS = {
         "stdout": "51e9e09d3b49ae9f367bc42b13aeb194b1733418ff9668c853faaedffe3eb2ba",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out_histogram.csv": "2467414ffd41a11db3c6601d6e871a5c1949faba0d379479698aed75c435733a",
-        "out_trace.csv": "c191f790c415d79b24436c4f56d6773350a28bdb45caf689b9eac110d3db75f9",
+        "out_trace.csv": "b44dcd9b6385ad3053991a4a6db66e09a0d458944d6f8c988861f0e6fe8862cb",
     },
     "anneal-chain": {
         "exit": 0,
         "stdout": "137e930a428e6079e12e3c84fcb04cca62a7f38a84e13bb16242fc901ff097ba",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out_histogram.csv": "0ad9451fb0a0e89e7bba3a71db708cb08c48ca94fce2443e41aa9b66059c5462",
-        "out_trace.csv": "477a38eeb9bbd4d6b23e87a119de36a43f89814b706a4694f63843459ebce0bc",
+        "out_trace.csv": "7a5b7de7ea80c6e883d3cb24bd064a99cd81095a9424b6a84da0dad1840955a0",
     },
     "anneal-chain-cycled": {
         "exit": 0,
@@ -180,14 +190,14 @@ DIGESTS = {
         "stdout": "c8b4d3446cb2994d298935e277541bc12173c7c383a0989fb133b6966e399f6f",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out_histogram.csv": "37a698eda35cd8c6ef1829a5054da9ee1ac1170011f5b36d006b54afac82b9ec",
-        "out_trace.csv": "cb110706ccf52b605432db01bbde57550c79b01e74eb00ea365ce5e55282c227",
+        "out_trace.csv": "f045283b4c80e3231850b5f810dd91844c1c2a69738341f4e0e09a1986bb90ec",
     },
     "anneal-maxcut-sector": {
         "exit": 0,
         "stdout": "0a70b8300fe009e193ff90d89eec80087bb2bdeb566ec9f5a95da7cab444dfb1",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out_histogram.csv": "662b9bd677a9f505f86a67f0dd891992c3a21054df2ce9cfcc56820cd4e3b44e",
-        "out_trace.csv": "79d531cff43a816e4db84e01cbef1691d112f6a202cbbb8559e98eae3d881355",
+        "out_trace.csv": "c43174f9ea2da531d41b0be7772737c45071702cd6746cbad0ba71897c2a8f6a",
     },
 }
 
