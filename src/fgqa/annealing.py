@@ -16,8 +16,9 @@ from one array call of the schedule.  Up to ``_WALSH_MAX_SITES`` sites
 :func:`_walsh_kernel` steps a run in the Walsh-Hadamard basis, where
 sum_i sx_i is diagonal; above, :func:`_blocked_kernel` steps it in a gauge
 where each site block's rotation is one real matmul.  Either way a step is
-one row of a short table of calls prebound to the stepper's fixed buffers
-(:func:`_advance`).  A stepper only steps: at a record it writes the
+one row of a short table of calls prebound to the stepper's fixed buffers,
+whose matrices :func:`_advance` alone writes, gathered from one coefficient
+array per chunk of angles.  A stepper only steps: at a record it writes the
 physical state into its spare buffer, where one reader, :func:`_energy`,
 computes <H>, so a recorded run ends bit for bit where the unrecorded one
 does.  Measured per-step times are in ``BENCH_31.json``.  Time is in hbar/eV
@@ -350,19 +351,25 @@ _CHUNK_STEPS = 256
 _TABLE_STEPS = 32
 
 
-def _advance(calls: list, width: int, refill):
-    """``advance(stop)``, taking a stepper from its step to step ``stop``:
-    step k runs the ``width`` calls of row k % rows of the table ``calls``,
-    each prebound to fixed buffers, after ``refill(k)`` has written the
-    next rows' matrices into those buffers if k starts a table."""
-    rows, position = len(calls) // width, 0
+def _advance(calls: list, tables: list, coefficients, thetas: np.ndarray):
+    """``advance(stop)``, taking a stepper from its step to step ``stop``: step
+    k runs the calls of row k % rows of ``calls``, prebound to fixed buffers,
+    after each (table, index) of ``tables``, rows long, has gathered its rows'
+    matrices by ``index`` from ``coefficients(chunk)``, made once a chunk."""
+    rows = tables[0][0].shape[0]
+    width, position, chunk = len(calls) // rows, 0, None
 
     def advance(stop: int) -> None:
-        nonlocal position
+        nonlocal position, chunk
         while position < stop:
             row = position % rows
             if not row:
-                refill(position)
+                if not position % _CHUNK_STEPS:
+                    chunk = coefficients(thetas[position:position + _CHUNK_STEPS])
+                part = chunk[position % _CHUNK_STEPS:][:rows]
+                for table, index in tables:
+                    # mode "clip" writes straight into the table; "raise" buffers it
+                    part.take(index, 1, table[:part.shape[0]], "clip")
             end = min(stop, position - row + rows)
             for call in calls[row * width:(end - position + row) * width]:
                 call()
@@ -392,7 +399,8 @@ def _walsh_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: np.
     is H D H with D = exp(-i theta (n - 2 popcount(s))).  The stepper holds
     phi = H (psi / half_phase), the state with its closing half phase divided
     out, so a step is the fixed mixer H diag(phase) H (the Walsh transform of
-    ``phase`` at r ^ s / sqrt(2^n)) and then D_k.
+    ``phase`` at r ^ s / sqrt(2^n)) and then D_k, which :func:`_advance`
+    gathers by popcount(s) from exp(-i theta_k levels).
 
     Returns ``(advance, physical)`` for the angles ``thetas`` from ``psi``
     (None for the transverse ground state, which the stepper writes into its
@@ -414,19 +422,12 @@ def _walsh_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: np.
     mix, calls = partial(mixer.dot, phi, spare), []
     for d in table:
         calls += mix, partial(np.multiply, spare, d, phi)
-    rotations = None
-
-    def refill(k: int) -> None:
-        nonlocal rotations
-        if not k % _CHUNK_STEPS:
-            rotations = np.exp(-1j * np.multiply.outer(thetas[k:k + _CHUNK_STEPS], levels))
-        part = rotations[k % _CHUNK_STEPS:][:table.shape[0]]
-        part.take(counts, 1, table[:part.shape[0]], "clip")
 
     def physical(final: bool = False) -> np.ndarray:
         return np.multiply(np.matmul(walsh, phi, out=spare), half_phase, out=spare)
 
-    return _advance(calls, 2, refill), physical
+    return _advance(calls, [(table, counts)], lambda chunk: np.exp(
+        -1j * np.multiply.outer(chunk, levels)), thetas), physical
 
 
 # Most sites per transverse-rotation block, which costs 2^(n+1) * 2^b real
@@ -461,31 +462,33 @@ def _sx_blocks(n: int) -> tuple[int, ...]:
 
 
 @cache
-def _rotation_index(b: int, lowest: bool = False) -> np.ndarray:
+def _rotation_index(b: int, lowest: bool = False, start: int = 0) -> np.ndarray:
     """Where each entry of a b-site real rotation sits in a coefficient row.
 
-    Entry (r, c) of O is cos^(b-k) sin^k (-1)^popcount(~r & c) with
-    k = popcount(r ^ c): row entry k, or b + 1 + k when the sign is
+    Entry (r, c) of O is cos^(b-k) sin^k (-1)^popcount(~r & c) with k =
+    popcount(r ^ c): entry start + k, or start + b + 1 + k when the sign is
     negative.  With ``lowest`` the index is that of kron(O^T, I_2), whose
-    off-diagonal float pairs take the zero at the end of the row.
+    off-diagonal float pairs take the zero after the negatives.
     """
     r = np.arange(1 << b)[:, None]
     c = np.arange(1 << b)
-    index = np.bitwise_count(r ^ c) + (b + 1) * (np.bitwise_count(~r & c) & 1)
+    index = start + np.bitwise_count(r ^ c) + (b + 1) * (np.bitwise_count(~r & c) & 1)
     if lowest:
         same = np.eye(2, dtype=bool)[None, :, None, :]
-        index = np.where(same, index.T[:, None, :, None], 2 * b + 2).reshape(2 << b, 2 << b)
+        index = np.where(same, index.T[:, None, :, None], start + 2 * b + 2).reshape(2 << b, -1)
     index.flags.writeable = False
     return index
 
 
-def _rotation_coefficients(thetas: np.ndarray, b: int) -> np.ndarray:
-    """Rows cos^(b-k) sin^k for k = 0..b, then their negatives, then 0:
-    one row per angle, indexed by :func:`_rotation_index`."""
-    c = np.cos(thetas)[:, None]
-    s = np.sin(thetas)[:, None]
-    row = c ** (b - np.arange(b + 1)) * s ** np.arange(b + 1)
-    return np.concatenate((row, -row, np.zeros_like(c)), axis=1)
+def _rotation_coefficients(thetas: np.ndarray, sizes) -> np.ndarray:
+    """One row per angle: for each b of ``sizes`` in turn, the 2b + 3 entries
+    that :func:`_rotation_index` (b, start) indexes, cos^(b-k) sin^k for
+    k = 0..b, their negatives and 0; each power is taken once."""
+    cos = np.cos(thetas)[:, None] ** np.arange(max(sizes) + 1)
+    sin = np.sin(thetas)[:, None] ** np.arange(cos.shape[1])
+    zero = np.zeros((thetas.shape[0], 1))
+    rows = [cos[:, b::-1] * sin[:, :b + 1] for b in sizes]
+    return np.concatenate([part for row in rows for part in (row, -row, zero)], axis=1)
 
 
 @cache
@@ -510,7 +513,8 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
     commutes with the diagonal phase and makes each exp(-i theta sx) real.
     On b sites these multiply to a real 2^b x 2^b Kronecker product (see
     :func:`_rotation_index`): one matmul on the float view, whose lowest bit
-    is re/im; site 0's block takes that bit along, as kron(O^T, I_2).  Up to
+    is re/im; site 0's block takes that bit along, as kron(O^T, I_2).
+    :func:`_advance` gathers them all from one row per angle.  Up to
     ``_CYCLED_MAX_SITES`` each block, top one first, is one 2-D product
     X^T M^T of X = (block bits, other bits) written as (other bits, block
     bits), which leaves every bit in place after site 0's; above, blocks act
@@ -548,10 +552,13 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
         blocks.reverse()
     elif flip:      # the blocks commute
         blocks.insert(0, blocks.pop())
-    # the coefficient index of each distinct block matrix: kron(O^T, I_2) for
-    # site 0's, O^T for the others cycled (from the right), O in place
-    indices = {(b, lowest): _rotation_index(b, lowest) if lowest or not cycled
-               else _rotation_index(b).T.copy() for b, lowest, _ in blocks}
+    # the coefficient index of each distinct block matrix, kron(O^T, I_2) for
+    # site 0's, O^T for the others cycled (from the right), O in place, into
+    # its size's entries of the row of all sizes; the sector's top one below
+    starts = {b: sum(2 * c + 3 for c in set(sizes) if c < b) for b in sorted(set(sizes))}
+    indices = {(b, lowest): _rotation_index(b, lowest, starts[b]) if lowest or not cycled
+               else _rotation_index(b, False, starts[b]).T
+               for b, lowest, _ in blocks[bool(flip):]}
     steps = min(_TABLE_STEPS if cycled else 4, thetas.shape[0])
     tables = {key: np.empty((steps, *index.shape)) for key, index in indices.items()}
     # a step starts and ends in buffer 0, and its phase writes buffer ``start``
@@ -580,7 +587,8 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
     # (block bits, other bits) as its transpose
     plan = [(flat[source].reshape(shape[::-1]).T if cycled else flat[source].reshape(shape),
              flat[target].reshape(shape), tables[b, lowest], len(shape) == 3)
-            for (b, lowest, shape), (source, target) in zip(blocks, route)]
+            for (b, lowest, shape), (source, target) in [*zip(blocks, route)][bool(flip):]]
+    fills = [(tables[key], index) for key, index in indices.items()]
     powers = np.array([1.0, -1.0j, -1.0, 1.0j])     # (-i)^k
     # closing = half_phase (-i)^popcount(s), over two halves of the bits
     closing = half_phase.reshape(1 << (n - n // 2), -1)
@@ -591,14 +599,17 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
     opening = [partial(np.multiply, buffers[0], phase, buffers[start])]
     if flip:
         # the top block's matmul on the state and y one above the other, with
-        # the matrices [cos theta M, sin theta M S] along the axis it contracts
+        # the matrices [cos theta M, sin theta M S] along the axis it contracts,
+        # gathered from the top (largest) size's entries times cos theta and
+        # sin theta after the row, negated in the columns where S is -1
         top = blocks[0][0]
-        base = tables[top, False]
+        end = starts[top] + 2 * top + 3
+        index = _rotation_index(top)
+        negated = (index + (top + 1) * np.bitwise_count(np.arange(1 << top))) % (2 * top + 2)
         stacked = np.empty((steps, 1 << top, 2 << top))
-        plan[0] = (stack[:2].view(np.float64).reshape(2 << top, -1),
-                   flat[2].reshape(1 << top, -1), stacked, True)
-        cos_half, sin_half = np.split(stacked, 2, axis=2)
-        block_signs = (-1.0) ** np.bitwise_count(np.arange(1 << top))
+        fills.append((stacked, np.concatenate((index, negated + 2 * top + 3), axis=1) + end))
+        plan.insert(0, (stack[:2].view(np.float64).reshape(2 << top, -1),
+                        flat[2].reshape(1 << top, -1), stacked, True))
         low_signs = -flip * powers[(n - 1) % 4] * (-1.0) ** np.bitwise_count(
             np.arange(1 << (n - top)))
         opening.append(partial(np.multiply, buffers[0][::-1].reshape(-1, low_signs.shape[0]),
@@ -610,24 +621,14 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
         calls += opening
         calls += [partial(np.matmul, table[row], state, out) if left
                   else partial(state.dot, table[row], out) for state, out, table, left in plan]
-    coefficients, cosines, sines = {}, None, None
 
-    def refill(k: int) -> None:
-        nonlocal coefficients, cosines, sines
-        if not k % _CHUNK_STEPS:
-            chunk = thetas[k:k + _CHUNK_STEPS]
-            coefficients = {b: _rotation_coefficients(chunk, b) for b in set(sizes)}
-            if flip:
-                cosines, sines = np.cos(chunk)[:, None, None], np.sin(chunk)[:, None, None]
-        k %= _CHUNK_STEPS
-        for (b, lowest), index in indices.items():
-            rows = coefficients[b][k:k + steps]
-            # mode "clip" writes straight into the table; "raise" buffers it
-            rows.take(index, 1, tables[b, lowest][:rows.shape[0]], "clip")
+    def coefficients(chunk: np.ndarray) -> np.ndarray:
+        row = _rotation_coefficients(chunk, tuple(starts))
         if flip:
-            filled = slice(rows.shape[0])
-            np.multiply(base[filled], cosines[k:k + steps], out=cos_half[filled])
-            np.multiply(base[filled], sines[k:k + steps] * block_signs, out=sin_half[filled])
+            entries = row[:, starts[top]:end]
+            row = np.concatenate((row, entries * np.cos(chunk)[:, None],
+                                  entries * np.sin(chunk)[:, None]), axis=1)
+        return row
 
     def physical(final: bool = False) -> np.ndarray:
         chi = np.multiply(buffers[0], half_phase, out=buffers[1])
@@ -636,7 +637,7 @@ def _blocked_kernel(n: int, phase: np.ndarray, half_phase: np.ndarray, thetas: n
         np.multiply(chi[::-1], flip, out=buffers[2])
         return stack[1:].reshape(-1)
 
-    return _advance(calls, len(calls) // steps, refill), physical
+    return _advance(calls, fills, coefficients, thetas), physical
 
 
 def _energy(chi: np.ndarray, diag: np.ndarray, delta: float, flip: int = 0) -> float:
@@ -712,9 +713,7 @@ def evolve(model: IsingModel, schedule: Schedule, psi0: np.ndarray | None = None
     sites = n - bool(flip)
     psi = None      # the stepper writes the initial state into its own buffer
     if psi0 is not None:
-        psi = np.array(psi0, dtype=np.complex128)
-        if psi.shape != (1 << n,):
-            raise ValueError(f"initial state must have shape ({1 << n},)")
+        psi = np.array(_checked_state(model, psi0), dtype=np.complex128)
         with np.errstate(over="ignore"):        # an overflow reads as an infinite norm
             norm = np.linalg.norm(psi)
         if not 0.0 < norm < math.inf:           # false for NaN too

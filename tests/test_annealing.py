@@ -173,6 +173,8 @@ class TestTransverseRotation:
 
     @pytest.mark.parametrize("b", range(1, 5))
     def test_real_block_is_gauged_kronecker_rotation(self, b):
+        # size b's entries in the one row of sizes 1-4, after the 2c + 3 of
+        # each smaller size c, are those of a row of size b alone
         theta = 0.37
         single = expm(-1j * theta * np.array([[0.0, 1.0], [1.0, 0.0]]))
         unitary = np.array([[1.0]])
@@ -180,7 +182,9 @@ class TestTransverseRotation:
             unitary = np.kron(unitary, single)
         counts = [bin(s).count("1") for s in range(2**b)]
         gauge = np.diag(np.array([1, 1j, -1, -1j])[np.array(counts) % 4])
-        row = _rotation_coefficients(np.array([theta]), b)[0]
+        row = _rotation_coefficients(np.array([theta]), range(1, 5))[0]
+        row = row[sum(2 * c + 3 for c in range(1, b)):][:2 * b + 3]
+        np.testing.assert_array_equal(row, _rotation_coefficients(np.array([theta]), (b,))[0])
         rotation = row[_rotation_index(b)]
         np.testing.assert_allclose(rotation, gauge @ unitary @ gauge.conj(), rtol=0,
                                    atol=1e-15)
@@ -381,11 +385,14 @@ class TestStepKernels:
         res = evolve(model, sched, record_every=7)
         dt = sched.t_total / sched.steps
         times = [k * dt for k in (0, 7, 14, 21, 28, 30)]
-        # the scalar schedule formula as it was before delta_at took arrays
-        deltas = [sched.delta0 * sched.floor_ratio**min(max(t / sched.t_total, 0.0), 1.0)
-                  for t in times]
         np.testing.assert_array_equal(res.times, times)
-        np.testing.assert_array_equal(res.deltas, deltas)
+        # exactly the schedule's array formula, and within one ulp Python's
+        # scalar one, whose pow can round the other way
+        x = np.clip(np.array(times) / sched.t_total, 0.0, 1.0)
+        np.testing.assert_array_equal(res.deltas, sched.delta0 * np.power(sched.floor_ratio, x))
+        np.testing.assert_array_max_ulp(res.deltas, [
+            sched.delta0 * sched.floor_ratio**min(max(t / sched.t_total, 0.0), 1.0)
+            for t in times], maxulp=1)
         expected = np.vdot(res.psi, apply_hamiltonian(model, res.deltas[-1], res.psi)).real
         assert abs(res.energies[-1] - expected) <= 1e-12 * max(1.0, abs(expected))
 
@@ -470,6 +477,18 @@ class TestBlockPlan:
         finally:
             tracemalloc.stop()
         assert peak - (16 << n) <= 2.5 * 2**20
+
+    def test_one_coefficient_row_per_chunk(self, rng, monkeypatch):
+        # 600 steps make three chunks, and a 7-site run has blocks of 3 and 4
+        # sites: each chunk's row covers both sizes
+        assert _CHUNK_STEPS == 256 and _sx_blocks(7) == (3, 4)
+        calls = []
+        coefficients = annealing._rotation_coefficients
+        monkeypatch.setattr(annealing, "_rotation_coefficients", lambda thetas, sizes: (
+            calls.append((thetas.shape[0], tuple(sizes))) or coefficients(thetas, sizes)))
+        evolve(chain_model(rng.normal(size=7), rng.normal(size=6)),
+               Schedule(delta0=2.0, t_total=30.0, steps=600))
+        assert calls == [(256, (3, 4)), (256, (3, 4)), (88, (3, 4))]
 
 
 def full_space_twin(model):
@@ -584,6 +603,26 @@ class TestSpinFlipSector:
                                    - 1j * p * math.sin(theta) * turned[::-1], rtol=0, atol=1e-14)
         np.testing.assert_array_equal(full[2**m:], p * full[:2**m][::-1])
 
+    @pytest.mark.parametrize("m", range(_CYCLED_MAX_SITES + 1, 14))
+    def test_stacked_top_matrix(self, rng, monkeypatch, m):
+        # the top block's table, gathered with the others, holds [cos theta M,
+        # sin theta M S] with S = diag((-1)^popcount(block bits)) at every step
+        fills = []
+        advance_from = annealing._advance
+        monkeypatch.setattr(annealing, "_advance", lambda calls, tables, *rest: (
+            fills.extend(tables) or advance_from(calls, tables, *rest)))
+        thetas = np.array([0.37, 0.05, 1.3])
+        advance, _ = _blocked_kernel(m, np.ones(2**m), np.ones(2**m, complex), thetas,
+                                     random_state(rng, m), (-1) ** (m + 1))
+        advance(1)
+        top = _sx_blocks(m)[-1]
+        [stacked] = [table for table, _ in fills if table.shape[1:] == (2**top, 2**(top + 1))]
+        matrices = _rotation_coefficients(thetas, (top,))[:, _rotation_index(top)]
+        signs = (-1.0) ** np.bitwise_count(np.arange(2**top))
+        for k in range(thetas.shape[0]):
+            np.testing.assert_array_equal(stacked[k], np.hstack((
+                np.cos(thetas)[k] * matrices[k], np.sin(thetas)[k] * matrices[k] * signs)))
+
     def test_peak_memory_at_16_sites(self, rng):
         # the full diagonal (0.5 state sizes), two half phases (1) and three
         # half buffers in one allocation, the full state's two among them
@@ -634,6 +673,22 @@ class TestIsingModel:
     def test_rejects_non_finite_fields(self, bad):
         with pytest.raises(ValueError, match="fields must be finite"):
             IsingModel(2, [bad, 0.0], ((0, 1, 1.0),))
+
+    @pytest.mark.parametrize("couplings, message", [
+        (((1, 0, 1.0),), "not an ordered site pair"),
+        (((0, 2, 1.0),), "not an ordered site pair"),
+        (((0, 1, 1.0), (0, 1, 0.5)), "duplicate coupling"),
+        (((0, 1, math.nan),), "couplings must be finite"),
+        (((0, 1, -math.inf),), "couplings must be finite")],
+        ids=["unordered", "beyond-last-site", "duplicate", "nan", "infinite"])
+    def test_rejects_bad_couplings(self, couplings, message):
+        with pytest.raises(ValueError, match=message):
+            IsingModel(2, [0.0, 0.0], couplings)
+
+    @pytest.mark.parametrize("rows, cols", ((0, 3), (3, 0), (-1, 2)))
+    def test_grid_rejects_non_positive_dimensions(self, rows, cols):
+        with pytest.raises(ValueError, match="grid dimensions must be positive"):
+            grid_model(rows, cols, 0.0, 1.0)
 
     def test_one_table_per_model(self, rng, monkeypatch):
         built = []
@@ -762,6 +817,8 @@ class TestSchedule:
             Schedule(delta0=1.0, t_total=1.0, steps=10, profile="polynomial")
         with pytest.raises(ValueError):
             Schedule(delta0=1.0, t_total=1.0, steps=10, floor_ratio=1e-3)
+        with pytest.raises(ValueError, match="unknown time unit 'hours'"):
+            Schedule(delta0=1.0, t_total=1.0, steps=10, time_unit="hours")
 
     @pytest.mark.parametrize("steps", (2.5, 3.0, True, np.float64(3.0)))
     def test_rejects_step_count_that_is_not_an_integer(self, steps):
@@ -845,6 +902,12 @@ class TestEvolve:
         with pytest.raises(ValueError, match="initial state must be non-zero and finite"):
             evolve(chain_model(np.zeros(3), 1.0), Schedule(delta0=1.0, t_total=1.0, steps=4),
                    psi0=psi0)
+
+    @pytest.mark.parametrize("shape", ((4,), (16,), (2, 4)))
+    def test_rejects_initial_state_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match=r"state must have shape \(8,\)"):
+            evolve(chain_model(np.zeros(3), 1.0), Schedule(delta0=1.0, t_total=1.0, steps=4),
+                   psi0=np.full(shape, 0.5))
 
     @pytest.mark.parametrize("bad", (-1, 2.5, True))
     def test_rejects_record_every_that_is_not_a_non_negative_integer(self, bad):
@@ -1059,6 +1122,17 @@ class TestMaxCut:
     def test_rejects_non_positive_weight(self):
         with pytest.raises(ValueError):
             maxcut_to_ising([(0, 1, -1.0)])
+
+    @pytest.mark.parametrize("n_sites", (None, 0))
+    def test_rejects_graph_without_vertex(self, n_sites):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            maxcut_to_ising([], n_sites)
+
+    @pytest.mark.parametrize("state", ("01", "0110", "012", "0 1", ""))
+    def test_cut_value_rejects_malformed_state(self, state):
+        model = maxcut_to_ising([(0, 1, 1.0), (1, 2, 1.0)])
+        with pytest.raises(ValueError, match="3-character string of 0s and 1s"):
+            cut_value(model, state)
 
 
 class TestFgGridModel:

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_network
 from fgqa.cells import (
     BiasSet,
     CellGeometry,
@@ -124,6 +126,14 @@ class TestGeometryInvariants:
         with pytest.raises(ValueError):
             CellGeometry(**kwargs)
 
+    @pytest.mark.parametrize("bad", ("10", [10.0], 10 + 0j), ids=["str", "list", "complex"])
+    @pytest.mark.parametrize("field", ["length", "d_gate", "gap"])
+    def test_rejects_non_numeric_field(self, field, bad):
+        kwargs = dict(length=10.0, width=10.0, height=50.0, d_ox=3.0, d_gate=7.0, gap=10.0)
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match=f"CellGeometry.{field} must be positive and finite"):
+            CellGeometry(**kwargs)
+
 
 class TestMaterialStack:
     @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
@@ -166,7 +176,23 @@ class TestBiasSet:
         with pytest.raises(ValueError):
             BiasSet((0.0, 0.0, 0.0), 0.0, (0.0, 0.0))
 
+    def test_needs_a_gate_voltage(self):
+        with pytest.raises(ValueError, match="need at least one gate voltage"):
+            BiasSet(())
+
     def test_uniform_constructor(self):
         bias = BiasSet.uniform(3, v_gate=0.5)
         assert bias.v_gate == (0.5, 0.5, 0.5)
         assert len(bias.v_rail) == 4
+
+
+class TestCapacitanceNetwork:
+    @pytest.mark.parametrize("field, value, message", [
+        ("c_sub", np.ones(2), r"c_sub must have shape \(3,\), got \(2,\)"),
+        ("c_drain", np.ones((3, 2)), r"c_drain must have shape \(3,\), got \(3, 2\)"),
+        ("c_fg", np.ones(3), "last cell has no right-hand neighbour"),
+        ("c_gate_right", np.ones(3), "last cell has no right-hand neighbour"),
+        ("c_gate_left", np.ones(3), "first cell has no left-hand neighbour")])
+    def test_rejects_inconsistent_branches(self, rng, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(random_network(rng), **{field: value})

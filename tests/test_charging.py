@@ -67,11 +67,22 @@ class TestReduceNetwork:
         with pytest.raises(ValueError):
             reduce_network(two, BiasSet.uniform(2))
 
+    @pytest.mark.parametrize("m", (2, 4))
+    def test_rejects_bias_of_another_cell_count(self, rng, m):
+        with pytest.raises(ValueError, match="bias and network cell counts differ"):
+            reduce_network(random_network(rng), BiasSet.uniform(m))
+
 
 class TestChargingEnergy:
     def test_zero_everything_is_zero(self, rng):
         form = reduce_network(random_network(rng), BiasSet.uniform(3))
         assert charging_energy(form, np.zeros(3)) == 0.0
+
+    @pytest.mark.parametrize("n", ([0, 1], [0, 1, 0, 1], [[0, 1, 0]]))
+    def test_rejects_occupation_of_another_shape(self, rng, n):
+        form = reduce_network(random_network(rng), BiasSet.uniform(3))
+        with pytest.raises(ValueError, match="expected 3 occupation numbers"):
+            charging_energy(form, n)
 
     def test_matches_constrained_minimum(self, rng):
         for _ in range(100):
@@ -106,6 +117,15 @@ class TestChargingEnergy:
 
 
 class TestOracle:
+    @pytest.mark.parametrize("m, n, message", [
+        (3, [0, 1], "expected 3 occupation numbers"),
+        (3, [[0, 1, 0]], "expected 3 occupation numbers"),
+        (2, [0, 1, 0], "bias and network cell counts differ"),
+        (4, [0, 1, 0], "bias and network cell counts differ")])
+    def test_rejects_mismatched_inputs(self, rng, m, n, message):
+        with pytest.raises(ValueError, match=message):
+            minimize_charge_oracle(random_network(rng), BiasSet.uniform(m), n)
+
     def test_single_isolated_cell(self):
         net = CapacitanceNetwork(
             c_gate=np.array([2e-19]), c_sub=np.array([5e-19]),
@@ -294,6 +314,12 @@ class TestOracleSetUpReuse:
 
 
 class TestIsingParameters:
+    @pytest.mark.parametrize("n_g", ([0.0, 0.1], [0.0] * 4, [[0.0, 0.1, 0.2]]))
+    def test_rejects_gate_coordinates_of_another_shape(self, rng, n_g):
+        form = reduce_network(random_network(rng), BiasSet.uniform(3))
+        with pytest.raises(ValueError, match="expected 3 gate coordinates"):
+            ising_parameters(form, n_g)
+
     def test_fields_vanish_at_degeneracy(self, rng):
         params = ising_parameters(reduce_network(random_network(rng), BiasSet.uniform(3)),
                                   0.0)

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fgqa import annealing, cli
-from fgqa.cells import MaterialStack, build_network, cell_from_coupling_ratio
+from fgqa.cells import (MaterialStack, build_network, cell_from_coupling_ratio,
+                        control_oxide_thickness)
 from fgqa.charging import parabola_family
 from fgqa.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, _write_csv, emit_config, main,
                       parse_config)
@@ -94,6 +95,17 @@ class TestConfigHandling:
         assert main([command, "--config",
                      write_config(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
         assert f"{key} must be " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("derive", "[1, 2]", "config must be a JSON object"),
+        ("anneal", json.dumps({"schema_version": 1, "problem": [1],
+                               "schedule": {"delta0_ev": 1.0}}),
+         "config.problem must be an object")])
+    def test_config_that_is_not_an_object(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["sweep", "--threads", "4"],
                                       ["decohere", "--seed", "1"],
@@ -332,6 +344,35 @@ class TestSweep:
         assert main(["sweep", "--config",
                      write_config(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
         assert f"{key} " in capsys.readouterr().err
+
+    def test_gate_oxide_gives_the_cell_of_its_coupling_ratio(self, tmp_path):
+        # the same cell by its control-oxide thickness writes the same rows;
+        # only the config hash differs
+        lines = []
+        for key, value in (("coupling_ratio", 0.3),
+                           ("gate_oxide_nm", control_oxide_thickness(0.3, 3.5))):
+            geometry = {k: v for k, v in SWEEP_GEOMETRY.items() if k != "coupling_ratio"}
+            cfg = {"schema_version": 1, "parameter": "L",
+                   "range": {"min": 5.0, "max": 15.0, "points": 6},
+                   "geometry": dict(geometry, **{key: value})}
+            out = tmp_path / f"{key}.csv"
+            assert main(["sweep", "--config", write_config(tmp_path, "c.json", cfg),
+                         "--out", str(out)]) == EXIT_OK
+            lines.append(out.read_text().splitlines())
+        assert len(lines[0]) == len(lines[1]) == 10     # 3 comments, the header, 6 rows
+        assert [a.startswith("# config sha256: ") for a, b in zip(*lines) if a != b] == [True]
+
+    @pytest.mark.parametrize("both", (True, False), ids=["both", "neither"])
+    def test_geometry_needs_exactly_one_gate_key(self, tmp_path, capsys, both):
+        geometry = dict(SWEEP_GEOMETRY, gate_oxide_nm=8.0)
+        if not both:
+            del geometry["gate_oxide_nm"], geometry["coupling_ratio"]
+        cfg = {"schema_version": 1, "parameter": "L",
+               "range": {"min": 5.0, "max": 10.0, "points": 3}, "geometry": geometry}
+        assert main(["sweep", "--config",
+                     write_config(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "coupling_ratio" in err and "gate_oxide_nm" in err
 
     @pytest.mark.parametrize("value", [1.0, 1.5])
     def test_bad_coupling_ratio_names_geometry_key(self, tmp_path, capsys, value):

@@ -61,10 +61,18 @@ class TestRenormalization:
     def test_dressed_frequency_underflows_to_zero(self):
         assert renormalized_tunneling(1e12, ENV) == 0.0
 
+    def test_rejects_negative_frequency(self):
+        with pytest.raises(ValueError, match="tunneling frequency must be non-negative"):
+            renormalized_tunneling(-1.0, ENV)
+
 
 class TestSuperohmicRate:
     def test_zero_frequency(self):
         assert superohmic_rate(0.0, ENV) == 0.0
+
+    def test_rejects_negative_frequency(self):
+        with pytest.raises(ValueError, match="tunneling frequency must be non-negative"):
+            superohmic_rate(-1.0, ENV)
 
     def test_cubic_scaling(self):
         assert superohmic_rate(2e9, ENV) == pytest.approx(8.0 * superohmic_rate(1e9, ENV),

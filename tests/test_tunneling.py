@@ -36,6 +36,10 @@ class TestParticipants:
         assert participants(TALL, 0.0) == 0.0
         assert participants(TALL, 1e-12) < 1e-3
 
+    def test_rejects_negative_fermi_energy(self):
+        with pytest.raises(ValueError, match="Fermi energy must be non-negative"):
+            participants(TALL, -1e-3)
+
     def test_linear_in_volume(self):
         taller = CellGeometry(length=15.0, width=15.0, height=250.0, d_ox=3.5,
                               d_gate=8.1666667)
