@@ -51,7 +51,7 @@ import numpy as np
 
 from .cells import BiasSet, CellGeometry, MaterialStack, build_network
 from .charging import IsingParameters, ising_parameters, reduce_network
-from .constants import CONST, float_or_array
+from .constants import CONST, checked, float_or_array
 from .tunneling import TunnelBarrier, tunnel_amplitude
 
 __all__ = [
@@ -100,22 +100,20 @@ class IsingModel:
     def __post_init__(self):
         if not 1 <= self.n_sites <= MAX_SITES:
             raise ValueError(f"site count must be in [1, {MAX_SITES}], got {self.n_sites}")
-        h = np.array(self.h, dtype=float)
+        h = np.array(self.h)
         if h.shape != (self.n_sites,):
             raise ValueError(f"h must have shape ({self.n_sites},), got {h.shape}")
-        if not np.isfinite(h).all():
-            raise ValueError("fields must be finite")
+        h = checked(h, "fields", "finite").astype(float, copy=False)
         h.flags.writeable = False
         object.__setattr__(self, "h", h)
         seen = set()
         for (i, j, w) in self.couplings:
-            if not (0 <= i < j < self.n_sites):
+            if not (_is_index(i) and _is_index(j) and 0 <= i < j < self.n_sites):
                 raise ValueError(f"coupling ({i}, {j}) is not an ordered site pair")
             if (i, j) in seen:
                 raise ValueError(f"duplicate coupling for pair ({i}, {j})")
             seen.add((i, j))
-            if not math.isfinite(w):
-                raise ValueError("couplings must be finite")
+            checked(w, "couplings", "finite")
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -143,11 +141,9 @@ class Schedule:
     time_unit: str = "natural"      # "natural" (hbar/eV) or "seconds"
 
     def __post_init__(self):
-        if not 0.0 <= self.delta0 < math.inf:
-            raise ValueError("initial transverse field must be non-negative and finite")
-        if not 0.0 < self.t_total < math.inf:
-            raise ValueError("total time must be positive and finite")
-        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
+        checked(self.delta0, "initial transverse field", "non-negative")
+        checked(self.t_total, "total time")
+        if not _is_index(self.steps):
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError("step count must be at least 1")
@@ -193,6 +189,8 @@ class GroundState:
 def chain_model(h, j) -> IsingModel:
     """Open chain with per-site fields ``h`` and per-bond couplings ``j`` (or one for all)."""
     h = np.asarray(h, dtype=float)
+    if h.ndim != 1:
+        raise ValueError(f"h must hold one field per site, got shape {h.shape}")
     j = np.atleast_1d(np.asarray(j, dtype=float))
     n = h.shape[0]
     if j.shape == (1,):
@@ -256,6 +254,11 @@ def cut_value(model: IsingModel, state: str) -> float:
     """Total weight of edges cut by the partition encoded in ``state``."""
     bits = _bits_from_state(model.n_sites, state)
     return sum(w for (i, j, w) in model.couplings if bits[i] != bits[j])
+
+
+def _is_index(v) -> bool:
+    """Whether ``v`` is a Python or numpy integer; a bool is not."""
+    return type(v) is int or isinstance(v, np.integer)
 
 
 def _bits_from_state(n: int, state: str) -> np.ndarray:

@@ -31,12 +31,11 @@ points on the trailing axes, so one network holds a whole sweep.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONST, float_or_array
+from .constants import CONST, checked, float_or_array
 
 __all__ = [
     "CellGeometry",
@@ -72,13 +71,7 @@ class CellGeometry:
         if self.gap is None:
             object.__setattr__(self, "gap", self.length)
         for name in ("length", "width", "height", "d_ox", "d_gate", "gap"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float, np.ndarray)):
-                raise ValueError(f"CellGeometry.{name} must be positive and finite, got {v!r}")
-            bad = ~((np.asarray(v) > 0.0) & np.isfinite(v))
-            if bad.any():
-                raise ValueError(f"CellGeometry.{name} must be positive and finite, "
-                                 f"got {np.asarray(v)[bad][0].item()!r}")
+            checked(getattr(self, name), "CellGeometry." + name)
 
     @property
     def x_gate(self):
@@ -109,12 +102,8 @@ class MaterialStack:
     def __post_init__(self):
         if self.eps_gate is None:
             object.__setattr__(self, "eps_gate", self.eps_ox)
-        if not all(0.0 < v < math.inf for v in (self.eps_ox, self.eps_gate)):
-            raise ValueError("dielectric constants must be positive and finite")
-        if not 0.0 < self.barrier_ev < math.inf:
-            raise ValueError("barrier height must be positive and finite")
-        if not all(0.0 < v < math.inf for v in (self.m_ox, self.m_si, self.doping_cm3)):
-            raise ValueError("masses and doping must be positive and finite")
+        for name in ("eps_ox", "eps_gate", "barrier_ev", "m_ox", "m_si", "doping_cm3"):
+            checked(getattr(self, name), "MaterialStack." + name)
 
 
 @dataclass(frozen=True)
@@ -132,11 +121,14 @@ class BiasSet:
     v_rail: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "v_gate", tuple(float(v) for v in self.v_gate))
+        object.__setattr__(self, "v_gate", tuple(float(checked(v, "BiasSet.v_gate", "finite"))
+                                                 for v in self.v_gate))
+        checked(self.v_sub, "BiasSet.v_sub", "finite")
         m = len(self.v_gate)
         if m < 1:
             raise ValueError("need at least one gate voltage")
-        rails = tuple(float(v) for v in self.v_rail) if self.v_rail else (0.0,) * (m + 1)
+        rails = (tuple(float(checked(v, "BiasSet.v_rail", "finite")) for v in self.v_rail)
+                 if self.v_rail else (0.0,) * (m + 1))
         if len(rails) != m + 1:
             raise ValueError(f"expected {m + 1} rail voltages for {m} cells, got {len(rails)}")
         object.__setattr__(self, "v_rail", rails)
@@ -177,8 +169,7 @@ class CapacitanceNetwork:
         for name, arr in arrays.items():
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be non-negative and finite")
+            checked(arr, name, "non-negative")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if np.any(self.c_fg[-1] != 0.0) or np.any(self.c_gate_right[-1] != 0.0):
@@ -273,8 +264,7 @@ def single_electron_margin(geom: CellGeometry, mat: MaterialStack,
     Returns (e / C_eff expressed in kelvin) / T with C_eff = C_gate + C_sub;
     values above 1 mean single-electron charging steps stand out.
     """
-    if temperature_k <= 0.0:
-        raise ValueError("temperature must be positive")
+    checked(temperature_k, "temperature")
     net = build_network(geom, mat, 1)
     c_eff = net.c_gate[0] + net.c_sub[0]
     shift_v = CONST.electron_charge / c_eff

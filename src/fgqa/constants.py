@@ -10,7 +10,9 @@ figures digit for digit.
 
 The device formulas of the package take numpy arrays as well as
 scalars; :func:`float_or_array` gives their results back as a Python
-float when every input was a scalar.
+float when every input was a scalar.  Every physical input they take is
+checked by :func:`checked`, the one place that says which values a
+quantity admits and how a bad one is reported.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 __all__ = [
     "Constants",
     "CONST",
+    "checked",
     "convert",
     "fermi_energy",
     "float_or_array",
@@ -61,6 +64,30 @@ def float_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def checked(value, name: str, bound: str = "positive"):
+    """``value``, a real number or array, if every element is within ``bound``
+    (``"positive"``, ``"non-negative"`` or ``"finite"``; each excludes NaN and
+    the infinities); a bool, str, list or complex is not real.  Otherwise
+    raises ``ValueError("<name> must be <bound> and finite, got <first bad
+    element>")``.  Scalars are compared without numpy calls, as constructors
+    check each field."""
+    scalar = (type(value) is float or type(value) is int
+              or isinstance(value, (np.integer, np.floating)))
+    if scalar or isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        if bound == "positive":
+            ok = value > 0.0
+        elif bound == "non-negative":
+            ok = value >= 0.0
+        else:
+            ok = value > -math.inf
+        ok = ok & (value < math.inf)
+        if ok if scalar else ok.all():
+            return value
+        value = np.ravel(value)[~np.ravel(ok)][0].item()
+    must = "finite" if bound == "finite" else f"{bound} and finite"
+    raise ValueError(f"{name} must be {must}, got {value!r}")
+
+
 def convert(value, src: str, dst: str):
     """Convert an energy-like scalar or array between eV, K, Hz and J.
 
@@ -76,10 +103,7 @@ def convert(value, src: str, dst: str):
         raise ValueError(f"unknown energy unit {src!r}; expected one of {sorted(_TO_EV)}")
     if dst not in _TO_EV:
         raise ValueError(f"unknown energy unit {dst!r}; expected one of {sorted(_TO_EV)}")
-    value = np.asarray(value, dtype=float)
-    finite = np.isfinite(value)
-    if not finite.all():
-        raise ValueError(f"value must be finite, got {value[~finite][0].item()!r}")
+    value = np.asarray(checked(value, "value", "finite"), dtype=float)
     return float_or_array(value * _TO_EV[src] / _TO_EV[dst])
 
 
@@ -91,10 +115,8 @@ def fermi_energy(doping_cm3: float, m_eff: float) -> float:
     ``m_eff`` of the vacuum electron mass.  Strictly increasing in the
     density and strictly decreasing in the mass.
     """
-    if doping_cm3 <= 0.0:
-        raise ValueError(f"doping must be positive, got {doping_cm3!r}")
-    if m_eff <= 0.0:
-        raise ValueError(f"effective mass must be positive, got {m_eff!r}")
+    checked(doping_cm3, "doping")
+    checked(m_eff, "effective mass")
     n_m3 = doping_cm3 * 1e6
     e_j = CONST.hbar_j_s**2 * (3.0 * math.pi**2 * n_m3) ** (2.0 / 3.0) / (
         2.0 * m_eff * CONST.electron_mass

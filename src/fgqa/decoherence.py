@@ -28,7 +28,9 @@ take numpy arrays as well as scalars (times and frequencies broadcast
 against each other): whole time traces are one call, and every element
 runs the same series or continued fraction, stopping at its own
 convergence point, so an array gives exactly the values of elementwise
-scalar calls.  Scalars give Python floats back.
+scalar calls.  Scalars give Python floats back.  Every input passes
+:func:`~fgqa.constants.checked`, so a NaN, infinite or negative time,
+frequency or bath parameter raises a ``ValueError`` naming it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONST, float_or_array
+from .constants import CONST, checked, float_or_array
 
 __all__ = [
     "PhononEnvironment",
@@ -72,13 +74,8 @@ class PhononEnvironment:
     alpha: float = 7.05e-9             # dimensionless ohmic strength
 
     def __post_init__(self):
-        if not all(0.0 < v < math.inf
-                   for v in (self.coupling_ev, self.sound_speed, self.density)):
-            raise ValueError("coupling, sound speed and density must be positive and finite")
-        if not 0.0 < self.debye_temperature < math.inf:
-            raise ValueError("Debye temperature must be positive and finite")
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError("alpha must be positive and finite")
+        for name in ("coupling_ev", "sound_speed", "density", "debye_temperature", "alpha"):
+            checked(getattr(self, name), "PhononEnvironment." + name)
 
     @property
     def coupling_j(self) -> float:
@@ -107,15 +104,13 @@ def renormalized_tunneling(delta_hz: float, env: PhononEnvironment) -> float:
     Underflows to exactly 0.0 for realistic oxide parameters; use
     :func:`renormalization_exponent` to report the suppression itself.
     """
-    if delta_hz < 0.0:
-        raise ValueError("tunneling frequency must be non-negative")
+    checked(delta_hz, "tunneling frequency", "non-negative")
     return delta_hz * math.exp(-renormalization_exponent(env))
 
 
 def superohmic_rate(delta_hz: float, env: PhononEnvironment) -> float:
     """T=0 damping rate (1/s) of the superohmic bath at dressed frequency ``delta_hz``."""
-    if delta_hz < 0.0:
-        raise ValueError("tunneling frequency must be non-negative")
+    checked(delta_hz, "tunneling frequency", "non-negative")
     omega = 2.0 * math.pi * delta_hz
     return (env.coupling_j**2 * omega**3
             / (4.0 * math.pi * CONST.hbar_j_s * env.density * env.sound_speed**5))
@@ -130,9 +125,7 @@ def _cisi(y) -> tuple[np.ndarray, np.ndarray]:
     defining integrals to better than 1e-10 over y in [0.1, 100].
     Takes a scalar or an array and returns two arrays of its shape.
     """
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0):
-        raise ValueError("argument must be positive")
+    y = np.asarray(checked(y, "ci/si argument"), dtype=float)
     c, s = np.empty(y.shape), np.empty(y.shape)
     small = y < 4.0
     c[small], s[small] = _cisi_series(y[small])
@@ -147,23 +140,19 @@ def _cisi_series(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     si: sum (-1)^k y^(2k+1) / ((2k+1)(2k+1)!)  -  pi/2.
     """
     y2 = y * y
-    c_sum = np.zeros_like(y)
+    c_sum, s_sum = np.zeros_like(y), np.zeros_like(y)
     ck = np.ones_like(y)              # (-1)^k y^(2k) / (2k)!
-    live = np.ones(y.shape, dtype=bool)
-    for k in range(1, 48):
-        ck *= -y2 / ((2 * k - 1) * (2 * k))
-        c_sum += np.where(live, ck / (2 * k), 0.0)
-        live &= ~(np.abs(ck) < 1e-20)
-        if not live.any():
-            break
-    s_sum = np.zeros_like(y)
     sk = y.copy()                     # (-1)^k y^(2k+1) / (2k+1)!
-    live = np.ones(y.shape, dtype=bool)
-    for k in range(0, 48):
-        s_sum += np.where(live, sk / (2 * k + 1), 0.0)
+    c_live, s_live = np.ones(y.shape, dtype=bool), np.ones(y.shape, dtype=bool)
+    for k in range(48):
+        if k:                         # ci's series starts at k = 1
+            ck *= -y2 / ((2 * k - 1) * (2 * k))
+            c_sum += np.where(c_live, ck / (2 * k), 0.0)
+            c_live &= ~(np.abs(ck) < 1e-20)
+        s_sum += np.where(s_live, sk / (2 * k + 1), 0.0)
         sk *= -y2 / ((2 * k + 2) * (2 * k + 3))
-        live &= ~(np.abs(sk) < 1e-20)
-        if not live.any():
+        s_live &= ~(np.abs(sk) < 1e-20)
+        if not (c_live.any() or s_live.any()):
             break
     return _EULER_GAMMA + np.log(y) + c_sum, s_sum - math.pi / 2.0
 
@@ -226,10 +215,7 @@ def si(y):
 
 
 def _times(t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("time must be non-negative")
-    return t
+    return np.asarray(checked(t, "time", "non-negative"), dtype=float)
 
 
 def p_coherent(t, delta_hz, alpha: float):
@@ -255,7 +241,6 @@ def p_incoherent(t, delta_hz, alpha: float):
 
 def coherence_time(delta_hz, alpha: float):
     """e^-1 time of the coherent envelope, 2 / (pi alpha Delta), seconds."""
-    delta_hz = np.asarray(delta_hz, dtype=float)
-    if np.any(delta_hz <= 0.0) or alpha <= 0.0:
-        raise ValueError("tunneling frequency and alpha must be positive")
+    delta_hz = np.asarray(checked(delta_hz, "tunneling frequency"), dtype=float)
+    checked(alpha, "alpha")
     return float_or_array(2.0 / (math.pi * alpha * delta_hz))

@@ -18,6 +18,9 @@ geometry, the oxide thickness and the gate voltage may be arrays (the
 points of a sweep); the amplitude is then an array too.  The barrier
 height, effective masses and doping default to those of the gate stack,
 :class:`~fgqa.cells.MaterialStack`, which also sets the capacitances.
+Every input passes :func:`~fgqa.constants.checked`, so a NaN, infinite or
+out-of-range barrier field, Fermi energy, mass, gate voltage or threshold
+raises a ``ValueError`` naming it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import CellGeometry, MaterialStack
-from .constants import CONST, fermi_energy, float_or_array
+from .constants import CONST, checked, fermi_energy, float_or_array
 
 __all__ = [
     "BarrierCollapseError",
@@ -63,19 +66,14 @@ class TunnelBarrier:
     doping_cm3: float = MaterialStack.doping_cm3    # FG carrier density, cm^-3
 
     def __post_init__(self):
-        if not np.all(np.greater(self.d_ox, 0.0) & np.isfinite(self.d_ox)):
-            raise ValueError("oxide thickness must be positive and finite")
-        if not all(0.0 < v < math.inf for v in (self.barrier_ev, self.m_ox, self.m_si)):
-            raise ValueError("barrier height and masses must be positive and finite")
-        if not 0.0 < self.doping_cm3 < math.inf:
-            raise ValueError("doping must be positive and finite")
+        for name in ("d_ox", "barrier_ev", "m_ox", "m_si", "doping_cm3"):
+            checked(getattr(self, name), "TunnelBarrier." + name)
 
     @classmethod
-    def from_stack(cls, geom: CellGeometry, mat: MaterialStack, **overrides) -> "TunnelBarrier":
-        kwargs = dict(d_ox=geom.d_ox, barrier_ev=mat.barrier_ev, m_ox=mat.m_ox,
-                      m_si=mat.m_si, doping_cm3=mat.doping_cm3)
-        kwargs.update(overrides)
-        return cls(**kwargs)
+    def from_stack(cls, geom: CellGeometry, mat: MaterialStack) -> "TunnelBarrier":
+        """The barrier of ``geom``'s tunnel oxide in the gate stack ``mat``."""
+        return cls(d_ox=geom.d_ox, barrier_ev=mat.barrier_ev, m_ox=mat.m_ox,
+                   m_si=mat.m_si, doping_cm3=mat.doping_cm3)
 
     @property
     def fermi_level_ev(self) -> float:
@@ -95,8 +93,8 @@ def participants(geom: CellGeometry, e_f_ev: float,
     which is just v times the carrier density.  Vanishes as E_F -> 0
     and is linear in the volume.
     """
-    if e_f_ev < 0.0:
-        raise ValueError("Fermi energy must be non-negative")
+    checked(e_f_ev, "Fermi energy", "non-negative")
+    checked(m_eff, "effective mass")
     if e_f_ev == 0.0:
         return 0.0
     k_f = math.sqrt(2.0 * m_eff * CONST.electron_mass * e_f_ev * CONST.electron_charge) \
@@ -118,7 +116,7 @@ def tunnel_amplitude(geom: CellGeometry, barrier: TunnelBarrier, v_cg=0.0):
         If E_F' reaches the barrier top (V_ox - E_F' <= 0) at any point.
     """
     e_f = barrier.fermi_level_ev
-    e_f_shifted = e_f - np.asarray(v_cg, dtype=float)
+    e_f_shifted = e_f - np.asarray(checked(v_cg, "gate voltage", "finite"), dtype=float)
     headroom = barrier.barrier_ev - e_f_shifted
     collapsed = headroom <= 0.0
     if collapsed.any():
@@ -140,7 +138,6 @@ def classify(geom: CellGeometry, barrier: TunnelBarrier, threshold_hz: float):
     A :class:`DeviceClass`, or an object array of them for an
     array-valued geometry or oxide.
     """
-    if threshold_hz <= 0.0:
-        raise ValueError("threshold must be positive")
+    checked(threshold_hz, "threshold")
     on = np.greater_equal(tunnel_amplitude(geom, barrier, 0.0), threshold_hz)
     return np.array([DeviceClass.NORMALLY_OFF, DeviceClass.NORMALLY_ON])[on.astype(int)]

@@ -19,6 +19,7 @@ conventions that are not fully pinned down by the published formulas,
 and the recomputed values are logged alongside).
 """
 
+import dataclasses
 import json
 import time
 
@@ -140,8 +141,9 @@ def test_criterion_3_coupling_and_tunneling_magnitudes_and_trends():
     geom_tall = cell_from_coupling_ratio(15.0, 100.0, 3.5, 0.3)
     barrier = TunnelBarrier.from_stack(geom_tall, MAT)
     assert tunnel_amplitude(geom_tall, barrier) > tunnel_amplitude(geom_short, barrier)
-    thick = TunnelBarrier.from_stack(geom_tall, MAT, d_ox=4.0)
-    assert tunnel_amplitude(geom_tall, thick) < tunnel_amplitude(geom_tall, barrier)
+    geom_thick = dataclasses.replace(geom_tall, d_ox=4.0)
+    thick = TunnelBarrier.from_stack(geom_thick, MAT)
+    assert tunnel_amplitude(geom_thick, thick) < tunnel_amplitude(geom_tall, barrier)
 
     # gate modulation across +-1 V spans at least three decades
     geom, _ = design("B", 15.0)

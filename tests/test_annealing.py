@@ -650,6 +650,11 @@ class TestChainModel:
         assert model.couplings == tuple((i, i + 1, 0.5) for i in range(n - 1))
         assert chain_model(np.zeros(n), 0.5).couplings == model.couplings
 
+    @pytest.mark.parametrize("h", (0.5, [[0.0, 0.0]]), ids=["scalar", "matrix"])
+    def test_rejects_fields_that_are_not_one_per_site(self, h):
+        with pytest.raises(ValueError, match="h must hold one field per site"):
+            chain_model(h, [])
+
 
 class TestIsingModel:
     """The model owns its energy table, and neither can change under the other."""
@@ -679,8 +684,12 @@ class TestIsingModel:
         (((0, 2, 1.0),), "not an ordered site pair"),
         (((0, 1, 1.0), (0, 1, 0.5)), "duplicate coupling"),
         (((0, 1, math.nan),), "couplings must be finite"),
-        (((0, 1, -math.inf),), "couplings must be finite")],
-        ids=["unordered", "beyond-last-site", "duplicate", "nan", "infinite"])
+        (((0, 1, -math.inf),), "couplings must be finite"),
+        (((0.5, 1, 1.0),), r"coupling \(0.5, 1\) is not an ordered site pair"),
+        (((False, True, 1.0),), r"coupling \(False, True\) is not an ordered site pair"),
+        (((np.int64(0), np.int64(1), "1"),), "couplings must be finite")],
+        ids=["unordered", "beyond-last-site", "duplicate", "nan", "infinite", "float-site",
+             "bool-sites", "string-weight"])
     def test_rejects_bad_couplings(self, couplings, message):
         with pytest.raises(ValueError, match=message):
             IsingModel(2, [0.0, 0.0], couplings)

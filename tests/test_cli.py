@@ -302,7 +302,7 @@ class TestSweep:
         ("d_ox", 1.0, 1.7e308, EXIT_CONFIG, "config error: invalid geometry: "
          "CellGeometry.d_gate must be positive and finite, got inf"),
         ("L", 5.0, 1e200, EXIT_PHYSICS,
-         "physics error: c_gate must be non-negative and finite"),
+         "physics error: c_gate must be non-negative and finite, got inf"),
         ("L", 1e100, 1e150, EXIT_PHYSICS,
          "physics error: column tunnel_Hz overflows the float range"),
         ("V_CG1-parabola", -1e160, 1e160, EXIT_PHYSICS,
@@ -690,7 +690,8 @@ def test_write_csv_matches_csv_writer(tmp_path):
 
 def test_nan_result_is_physics_error(tmp_path, capsys):
     # with so weak a damping the time grid, though finite, runs so far that
-    # delta * t overflows, and the coherent part cos(inf) is NaN
+    # delta * t overflows: the ci/si argument check refuses it, before the
+    # coherent part cos(inf) could reach the CSV as a NaN
     cfg = {"schema_version": 1, "delta_kelvin": [10.0, 50.0], "time_points": 7,
            "environment": {"alpha": 1e-310}}
     out = tmp_path / "pt.csv"
@@ -698,8 +699,12 @@ def test_nan_result_is_physics_error(tmp_path, capsys):
         warnings.simplefilter("always")
         assert main(["decohere", "--config", write_config(tmp_path, "c.json", cfg),
                      "--out", str(out)]) == EXIT_PHYSICS
-    assert capsys.readouterr().err == "physics error: column p_coh holds a NaN\n"
+    assert capsys.readouterr().err == ("physics error: ci/si argument must be positive "
+                                       "and finite, got inf\n")
     assert [str(w.message) for w in caught] == []
+    assert not out.exists()
+    with pytest.raises(ValueError, match="column b holds a NaN"):
+        _write_csv(str(out), "test", {}, ["a", "b"], [np.ones(2), np.array([1.0, math.nan])])
     assert not out.exists()
 
 

@@ -69,7 +69,7 @@ class TestBarrierFields:
             TunnelBarrier(**{"d_ox": 3.5, field: bad})
 
     def test_rejects_a_non_finite_thickness_among_points(self):
-        with pytest.raises(ValueError, match="oxide thickness"):
+        with pytest.raises(ValueError, match="TunnelBarrier.d_ox must be positive and finite"):
             TunnelBarrier(d_ox=np.array([3.5, math.nan, 4.0]))
 
 
